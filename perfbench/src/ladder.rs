@@ -13,15 +13,14 @@
 //!
 //! A layer's self time is its rung minus the rung below it, per frame.
 //! Probes beside the ladder time the protocol codec, the journal, the
-//! snapshot writer, recovery and the coverage kernels (the `covbench` op
-//! mix over the window's own influence sets).  The server's own span
+//! snapshot writer, recovery and the coverage kernels (absorbs and
+//! marginal-gain probes over the window's own influence sets).  The server's own span
 //! totals from one wire `TRACE` dump are recorded next to the ladder.
 
 use crate::e2e::{connect, encode_frames, fill, same_answer};
 use crate::report::{median, quantile, sorted, Report};
 use crate::server::{ServeOptions, ServerChild, WorkDir};
-use crate::workload::{copy_dir, rebase, seed_dir, Load, Workload};
-use rtim_bench::{bitmap_pass, time_pass};
+use crate::workload::{copy_dir, rebase, seed_dir, Workload};
 use rtim_core::{
     recover_engine, EngineHandle, Framework, FrameworkKind, HandleOptions, IcFramework,
     IngestError, PersistOptions, PoolStats, ResolvedAction, SicFramework, SimConfig, SimEngine,
@@ -42,7 +41,8 @@ const PROBE_TIME: Duration = Duration::from_millis(50);
 /// `ingest_blocking` pacing).
 const FULL_BACKOFF: Duration = Duration::from_micros(200);
 
-/// Frames a paced queue probe sends at the workload's period.
+/// Frames each connection of the queue probe sends, at the workload's
+/// period.
 const PACED_PROBE_FRAMES: usize = 40;
 
 /// Server span stages recorded next to the ladder.
@@ -248,10 +248,9 @@ fn run_into(w: &Workload, toy: bool, seed: u64, report: &mut Report) -> Result<(
         },
     );
 
-    let (marginal, absorb, mixed) = coverage_probe(&engine.window_sets);
+    let (marginal, absorb) = coverage_probe(&engine.window_sets);
     report.metric("coverage.marginal_ns_per_op", "ns", marginal);
     report.metric("coverage.absorb_ns_per_op", "ns", absorb);
-    report.fact("coverage.mixed_ns_per_op", mixed);
     report.fact("coverage.sets", engine.window_sets.len() as f64);
 
     for (stage, value) in STAGES.iter().zip(stage_us) {
@@ -351,9 +350,8 @@ struct QueueProbe {
 }
 
 /// Rung 2: an in-process `EngineHandle`.  After the rung, a probe pushes
-/// the connections' frames through `IngestSender::try_ingest` in the
-/// workload's shape (at the workload's period where it has one, as fast
-/// as enqueue allows otherwise) while queries run beside them, to see how
+/// the connections' frames through `IngestSender::try_ingest` at the
+/// workload's period while queries run beside them, to see how
 /// deep the bounded queue gets, how often it turns a batch away and how
 /// long a query waits.
 fn handle_rung(
@@ -402,30 +400,17 @@ fn handle_rung(
     std::thread::scope(|scope| -> Result<(), String> {
         let pushers: Vec<_> = conns
             .iter()
-            .take(w.load.connections())
             .map(|frames| {
                 let mut sender = handle.sender();
                 let frames = &frames[..raw.len().min(frames.len())];
                 scope.spawn(move || -> Result<u64, String> {
                     let mut retries = 0u64;
-                    let paced = match w.load {
-                        Load::OpenLoop { period, .. } | Load::Lockstep { period, .. } => {
-                            Some((Instant::now(), period))
-                        }
-                        Load::Pipelined { .. } => None,
-                    };
-                    let limit = if paced.is_some() {
-                        PACED_PROBE_FRAMES
-                    } else {
-                        frames.len()
-                    };
-                    for (i, frame) in frames.iter().take(limit).enumerate() {
-                        if let Some((t0, period)) = paced {
-                            let due = t0 + period * i as u32;
-                            let now = Instant::now();
-                            if now < due {
-                                std::thread::sleep(due - now);
-                            }
+                    let (t0, period) = (Instant::now(), w.load.period());
+                    for (i, frame) in frames.iter().take(PACED_PROBE_FRAMES).enumerate() {
+                        let due = t0 + period * i as u32;
+                        let now = Instant::now();
+                        if now < due {
+                            std::thread::sleep(due - now);
                         }
                         let mut batch = frame.clone();
                         loop {
@@ -683,11 +668,12 @@ fn recover_probe(
     Ok((median(&times), answer))
 }
 
-/// The coverage kernels under the `covbench` op mix, over the window's
-/// influence sets: absorbs of every other set into a fresh state, and
-/// marginal-gain probes of every set against that filled state.  Also the
-/// mixed pass exactly as `covbench` runs it.
-fn coverage_probe(sets: &[InfluenceSet]) -> (f64, f64, f64) {
+/// The coverage kernels over the window's influence sets, each op timed in
+/// a loop of its own: absorbs of every other set into a fresh state, and
+/// marginal-gain probes of every set against that filled state (the
+/// SieveStreaming mix of one probe per set and one absorb per admitted
+/// set, split so that each op gets its own figure).
+fn coverage_probe(sets: &[InfluenceSet]) -> (f64, f64) {
     let absorbed: Vec<&InfluenceSet> = sets.iter().step_by(2).collect();
     let absorb = repeat(|| {
         let mut state = CoverageState::default();
@@ -710,7 +696,5 @@ fn coverage_probe(sets: &[InfluenceSet]) -> (f64, f64, f64) {
         std::hint::black_box(sum);
         sets.len() as u64
     });
-    let iters = (PROBE_TIME.as_nanos() as f64 / (marginal * sets.len().max(1) as f64)).ceil();
-    let (mixed, _) = time_pass(iters.clamp(1.0, 1e6) as u32, || bitmap_pass(sets));
-    (marginal, absorb, mixed)
+    (marginal, absorb)
 }

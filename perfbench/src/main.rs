@@ -5,8 +5,8 @@
 //! replays the mix's inputs down the layer ladder (see `ladder.rs`).
 //!
 //! ```text
-//! perfbench --workload reddit-ingest --seed 1 --seconds 10 --trace 0
-//! perfbench --workload all --seed 1 --seconds 10 --trace 0
+//! perfbench --workload reddit-ingest --seed 1 --seconds 20 --trace 0
+//! perfbench --workload all --seed 1 --seconds 20 --trace 0
 //! perfbench --selftest
 //! ```
 //!
@@ -104,7 +104,7 @@ enum Mode {
 fn parse_args(args: &[String]) -> Result<Mode, String> {
     let mut workload = None;
     let mut seed = 1u64;
-    let mut seconds = 10u64;
+    let mut seconds = 20u64;
     let mut trace = false;
     let mut toy = false;
     let mut serve = false;

@@ -4,7 +4,6 @@
 //! sample counts) and ends with the one-object result line:
 //! `{"correct": .., "attempted": .., "failed": .., "metrics": {..}}`.
 
-use rtim_bench::LatencyStats;
 use std::time::Duration;
 
 /// One named measurement with its unit.
@@ -54,9 +53,10 @@ impl Report {
                 self.fact(format!("{name}_{label}"), quantile(&sorted, q));
             }
         }
-        let stats = summary(samples);
-        self.samples.push((name.to_string(), stats.count));
-        self.fact(format!("{name}_max"), stats.max_us as f64 / 1e3);
+        self.samples.push((name.to_string(), sorted.len()));
+        if let Some(&max) = sorted.last() {
+            self.fact(format!("{name}_max"), max);
+        }
     }
 
     /// Counts one failed operation and remembers why.
@@ -127,9 +127,9 @@ pub fn sorted(samples: &[f64]) -> Vec<f64> {
     v
 }
 
-/// Nearest-rank quantile over a sorted slice — the definition
-/// [`LatencyStats`] uses, kept at full precision instead of whole
-/// microseconds.  `NaN` for an empty slice.
+/// Nearest-rank quantile over a sorted slice (the definition the
+/// repository's `LatencyStats` uses, kept at full precision instead of
+/// whole microseconds).  `NaN` for an empty slice.
 pub fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
@@ -140,16 +140,6 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
 
 pub fn median(samples: &[f64]) -> f64 {
     quantile(&sorted(samples), 0.5)
-}
-
-/// Summary of millisecond samples through the shared harness type (count,
-/// mean and percentiles in whole microseconds), for detail lines.
-pub fn summary(ms_samples: &[f64]) -> LatencyStats {
-    let durations: Vec<Duration> = ms_samples
-        .iter()
-        .map(|&ms| Duration::from_nanos((ms.max(0.0) * 1e6).round() as u64))
-        .collect();
-    LatencyStats::from_durations(&durations)
 }
 
 pub fn ms(d: Duration) -> f64 {
@@ -186,18 +176,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantile_matches_latency_stats_definition() {
+    fn quantile_is_nearest_rank() {
         let v: Vec<f64> = (1..=100).map(f64::from).collect();
         assert_eq!(quantile(&v, 0.5), 50.0);
         assert_eq!(quantile(&v, 0.99), 99.0);
+        assert_eq!(quantile(&v, 1.0), 100.0);
+        assert_eq!(quantile(&[7.0], 0.99), 7.0);
         assert!(quantile(&[], 0.5).is_nan());
-        let stats = summary(
-            &(1..=100)
-                .map(|us| f64::from(us) / 1e3)
-                .collect::<Vec<f64>>(),
-        );
-        assert_eq!(stats.p50_us, 50);
-        assert_eq!(stats.p99_us, 99);
     }
 
     #[test]

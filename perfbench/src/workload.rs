@@ -3,8 +3,9 @@
 //! Inputs come from the workload seed alone and are generated before any
 //! clock starts.  Every frame is exactly one slide (`L` actions), so the
 //! server's per-frame slide cuts match an offline replay of the same
-//! frames, and every timed frame carries a `QUERY` pipelined right behind
-//! it, whose `SOLUTION` shows when the frame became visible.
+//! frames, and every timed frame carries a `QUERY` (pipelined right behind
+//! it, or in lockstep once its `ACK` is in), whose `SOLUTION` shows when the
+//! frame became visible.
 
 use rtim_core::{write_snapshot_atomic, FrameworkKind, SimConfig, SimEngine, SNAPSHOT_FILE};
 use rtim_datagen::{DatasetConfig, DatasetKind, Scale};
@@ -16,21 +17,20 @@ use std::time::{Duration, Instant};
 /// How the load generator drives the server.
 #[derive(Debug, Clone, Copy)]
 pub enum Load {
-    /// Closed loop on one connection: up to `window` frames not yet shown
-    /// processed by a `SOLUTION`.
-    Pipelined { window: usize },
     /// Open loop: one frame every `period` on one connection whatever the
-    /// server does; a second connection sends `QUERY` in lockstep, on each
-    /// reply but at most one per `query_gap` (a reader spinning as fast as
-    /// replies return would take a whole core of a two-core host).
+    /// server does.  With a `reader_gap`, a second connection sends `QUERY`
+    /// in lockstep, on each reply but at most one per gap (a reader
+    /// spinning as fast as replies return would take a whole core of a
+    /// two-core host).
     OpenLoop {
         period: Duration,
-        query_gap: Duration,
+        reader_gap: Option<Duration>,
     },
-    /// `connections` connections, each sending one frame every `period`
-    /// and waiting for its replies before the next: a fixed offered load
-    /// well under capacity, so per-frame costs show as latency and CPU
-    /// rather than as a throughput that drifts with the host.
+    /// `connections` connections, each sending one frame every `period`,
+    /// its `QUERY` once the frame's `ACK` is in, and waiting for the
+    /// `SOLUTION` before the next frame: a fixed offered load well under
+    /// capacity, so per-frame costs show as latency and CPU rather than as
+    /// a throughput that drifts with the host.
     Lockstep {
         connections: usize,
         period: Duration,
@@ -41,7 +41,14 @@ impl Load {
     pub fn connections(&self) -> usize {
         match *self {
             Load::Lockstep { connections, .. } => connections,
-            _ => 1,
+            Load::OpenLoop { reader_gap, .. } => 1 + usize::from(reader_gap.is_some()),
+        }
+    }
+
+    /// Time between two frames of one sending connection.
+    pub fn period(&self) -> Duration {
+        match *self {
+            Load::OpenLoop { period, .. } | Load::Lockstep { period, .. } => period,
         }
     }
 }
@@ -85,7 +92,14 @@ pub fn by_name(name: &str) -> Option<Workload> {
             beta: 0.1,
             threads: 2,
             snapshot_every: None,
-            load: Load::Pipelined { window: 16 },
+            // 1 000 actions every 100 ms: 10 000 actions/s, about half of
+            // what the engine sustains here.  A closed loop at saturation
+            // keeps both cores of a two-core host busy, and its throughput
+            // then moved by up to 30% from run to run with the host.
+            load: Load::OpenLoop {
+                period: Duration::from_millis(100),
+                reader_gap: None,
+            },
             timed_actions: 1_500_000,
             ladder_frames: 60,
             tail_frames: 30,
@@ -104,7 +118,7 @@ pub fn by_name(name: &str) -> Option<Workload> {
             // 500 actions every 25 ms: 20 000 actions/s, an absolute rate.
             load: Load::OpenLoop {
                 period: Duration::from_millis(25),
-                query_gap: Duration::from_millis(1),
+                reader_gap: Some(Duration::from_millis(1)),
             },
             timed_actions: 1_300_000,
             ladder_frames: 200,
@@ -121,10 +135,13 @@ pub fn by_name(name: &str) -> Option<Workload> {
             beta: 0.2,
             threads: 1,
             snapshot_every: Some(50),
-            // 2 × 250 frames of 20 actions per second: 10 000 actions/s.
+            // 2 × 100 frames of 20 actions per second: 4 000 actions/s.  A
+            // background snapshot every 50 slides stalls the engine for
+            // 10 ms or more on a two-core host; at a 4 ms period the
+            // generator's p99 send was 8-17 ms behind its schedule.
             load: Load::Lockstep {
                 connections: 2,
-                period: Duration::from_millis(4),
+                period: Duration::from_millis(10),
             },
             timed_actions: 2_000_000,
             ladder_frames: 1_000,
@@ -176,7 +193,7 @@ impl Workload {
         };
         match self.load {
             // One id space: the timed frames continue the warm stream.
-            Load::Pipelined { .. } | Load::OpenLoop { .. } => {
+            Load::OpenLoop { .. } => {
                 let mut warm = frames(self.stream(seed, 0, start_actions + self.timed_actions));
                 let timed = warm.split_off(warm_frames);
                 Inputs {
