@@ -22,10 +22,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Server starts per run — at least the minimum, then more while the
-/// budget lasts; `setup_s` is their median.
+/// budget lasts; `setup_s` is their median.  Consecutive starts run
+/// 30-50% apart in phases of half a second on a shared host, so the budget
+/// spans several such phases.
 const SETUP_MIN_REPS: usize = 5;
-const SETUP_MAX_REPS: usize = 25;
-const SETUP_BUDGET: Duration = Duration::from_secs(2);
+const SETUP_MAX_REPS: usize = 50;
+const SETUP_BUDGET: Duration = Duration::from_secs(4);
 
 /// Share of the offered rate below which a paced run counts as having
 /// fallen behind its schedule.
@@ -68,6 +70,23 @@ pub fn encode_frames(frames: &[Vec<Action>]) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Pre-encodes a connection's timed frames: each `INGEST` of
+/// [`encode_frames`] with its freshness `QUERY` right behind it in the same
+/// buffer, so the two reach the server in one write and are read in one
+/// wake-up, not in one or two as the scheduler happens to interleave them.
+fn encode_timed(frames: &[Vec<Action>]) -> Vec<Vec<u8>> {
+    encode_frames(frames)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut bytes)| {
+            bytes.extend(encode_frame(&Frame::Query {
+                corr: Some(QUERY_CORR_BASE + i as u32),
+            }));
+            bytes
+        })
+        .collect()
+}
+
 /// Fills a fresh server's window over `client`, pipelining 16 frames.
 pub fn fill(
     client: &mut RtimClient,
@@ -88,11 +107,13 @@ struct Shape {
     /// Frame `i` is due at `start + i * period`.
     start: Instant,
     period: Duration,
-    /// Lockstep: a frame waits for the `SOLUTION` of the previous one, its
-    /// query goes out once its `ACK` is in, and replies are timed from the
-    /// send.  Otherwise an open loop: frames never wait, each query is
-    /// pipelined right behind its frame, and replies are timed from the
-    /// frame's due time.
+    /// Lockstep: a frame waits for the `SOLUTION` of the previous one, and
+    /// replies are timed from the send.  Otherwise an open loop: frames
+    /// never wait, and replies are timed from the frame's due time.  Either
+    /// way each query is pipelined right behind its frame.  (A query sent
+    /// once the `ACK` is in times a round trip on an idle engine, about
+    /// 0.1 ms of thread wake-ups whose median moved by a third from run
+    /// to run.)
     lockstep: bool,
     /// Whether the queries behind the frames also count as `query_ms`
     /// samples.
@@ -180,7 +201,7 @@ impl Wire {
             }
             if let Some(t) = until {
                 // Socket read timeouts tick in scheduler jiffies, too coarse
-                // for a 25 ms schedule; poll(2) sleeps on a high-resolution
+                // for a paced schedule; poll(2) sleeps on a high-resolution
                 // timer.  The last partial millisecond is spun through.
                 let left = match t.checked_duration_since(Instant::now()) {
                     Some(left) if !left.is_zero() => left,
@@ -306,28 +327,17 @@ fn drive(
         let now = Instant::now();
         tally.lateness.push(ms(now.saturating_duration_since(due)));
         let from = if shape.lockstep { now } else { due };
+        // The frame and the freshness query behind it.
         wire.send(frame)?;
-        tally.attempted += 1;
+        tally.attempted += 2;
         tally.frames_sent += 1;
         tally.actions_sent += lens[i];
         owed.pending
             .insert(i as u32 + 1, Pending::Ingest { from, len: lens[i] });
-        if shape.lockstep {
-            while owed.pending.contains_key(&(i as u32 + 1)) {
-                owed.settle_next(&mut wire, shape, tally)?;
-            }
-        }
-        // The freshness query behind the frame.
-        let query_corr = QUERY_CORR_BASE + i as u32;
-        let sent = Instant::now();
-        wire.send(&encode_frame(&Frame::Query {
-            corr: Some(query_corr),
-        }))?;
-        tally.attempted += 1;
         owed.pending.insert(
-            query_corr,
+            QUERY_CORR_BASE + i as u32,
             Pending::Query {
-                sent,
+                sent: now,
                 fresh_from: from,
                 covers: i + 1,
             },
@@ -407,7 +417,7 @@ fn run_into(
 ) -> Result<(), String> {
     let work = WorkDir::new(&format!("{}-e2e", w.name)).map_err(|e| format!("work dir: {e}"))?;
     let inputs = w.inputs(seed);
-    let encoded: Vec<Vec<Vec<u8>>> = inputs.conns.iter().map(|c| encode_frames(c)).collect();
+    let encoded: Vec<Vec<Vec<u8>>> = inputs.conns.iter().map(|c| encode_timed(c)).collect();
     let lens: Vec<Vec<u64>> = inputs
         .conns
         .iter()

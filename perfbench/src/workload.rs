@@ -3,9 +3,8 @@
 //! Inputs come from the workload seed alone and are generated before any
 //! clock starts.  Every frame is exactly one slide (`L` actions), so the
 //! server's per-frame slide cuts match an offline replay of the same
-//! frames, and every timed frame carries a `QUERY` (pipelined right behind
-//! it, or in lockstep once its `ACK` is in), whose `SOLUTION` shows when the
-//! frame became visible.
+//! frames, and every timed frame carries a `QUERY` pipelined right behind
+//! it, whose `SOLUTION` shows when the frame became visible.
 
 use rtim_core::{write_snapshot_atomic, FrameworkKind, SimConfig, SimEngine, SNAPSHOT_FILE};
 use rtim_datagen::{DatasetConfig, DatasetKind, Scale};
@@ -26,9 +25,9 @@ pub enum Load {
         period: Duration,
         reader_gap: Option<Duration>,
     },
-    /// `connections` connections, each sending one frame every `period`,
-    /// its `QUERY` once the frame's `ACK` is in, and waiting for the
-    /// `SOLUTION` before the next frame: a fixed offered load well under
+    /// `connections` connections, each sending one frame every `period`
+    /// with its `QUERY` right behind it, and waiting for the `SOLUTION`
+    /// before the next frame: a fixed offered load well under
     /// capacity, so per-frame costs show as latency and CPU rather than as
     /// a throughput that drifts with the host.
     Lockstep {
@@ -115,9 +114,13 @@ pub fn by_name(name: &str) -> Option<Workload> {
             beta: 0.1,
             threads: 2,
             snapshot_every: None,
-            // 500 actions every 25 ms: 20 000 actions/s, an absolute rate.
+            // 500 actions every 50 ms: 10 000 actions/s, an absolute rate
+            // of about a third of what the engine sustains.  At 20 000
+            // actions/s a slide took three quarters of its period, and on
+            // a slower host phase frames queued behind each other, which
+            // spread fresh_ms by 20-40% from run to run.
             load: Load::OpenLoop {
-                period: Duration::from_millis(25),
+                period: Duration::from_millis(50),
                 reader_gap: Some(Duration::from_millis(1)),
             },
             timed_actions: 1_300_000,
