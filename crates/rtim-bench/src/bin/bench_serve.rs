@@ -12,9 +12,7 @@
 //!    streamed with `--in-flight` pipelined `INGEST` frames (default 1
 //!    and 16) through the readiness-driven event-loop front-end.  A small
 //!    pool of driver threads multiplexes the sockets so the client side
-//!    stays out of the way on small machines.  One thread-per-connection
-//!    run rides along as a differential point while that front-end
-//!    remains selectable.
+//!    stays out of the way on small machines.
 //!
 //! Every scaling run enables the `/metrics` sidecar and polls it from a
 //! concurrent scraper thread for the whole serving phase (new in v3):
@@ -39,7 +37,7 @@ use rtim_bench::{CommonArgs, ServeBenchReport, ServeSetup, COMMON_KEYS};
 use rtim_core::FrameworkKind;
 use rtim_datagen::DatasetConfig;
 use rtim_server::protocol::encode_frame;
-use rtim_server::{Frame, FrontEnd, RtimClient, RtimServer, ServerConfig};
+use rtim_server::{Frame, RtimClient, RtimServer, ServerConfig};
 use rtim_stream::Action;
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -198,36 +196,15 @@ fn main() {
     let trace = cfg.with_seed(params.seed).generate();
     let actions = trace.actions();
 
-    // Differential thread-per-connection point: the largest configured
-    // count we are still willing to spawn server threads for.
-    let threaded_at = connection_counts.iter().copied().filter(|&c| c <= 64).max();
-
     for &connections in &connection_counts {
         for &window in &windows {
             let run = scaling_run(
                 params.sim_config().with_threads(threads),
-                FrontEnd::EventLoop { threads: 2 },
-                "event-loop",
                 threads,
                 capacity,
                 actions,
                 connections,
                 window,
-                scale_batch,
-            );
-            print_run(&run);
-            report.runs.push(run);
-        }
-        if Some(connections) == threaded_at {
-            let run = scaling_run(
-                params.sim_config().with_threads(threads),
-                FrontEnd::ThreadPerConnection,
-                "threaded",
-                threads,
-                capacity,
-                actions,
-                connections,
-                1,
                 scale_batch,
             );
             print_run(&run);
@@ -245,11 +222,8 @@ fn main() {
 /// One scaling-series measurement: the trace split across `connections`
 /// sockets, each keeping `window` `INGEST` frames in flight, multiplexed
 /// by a small pool of driver threads.
-#[allow(clippy::too_many_arguments)]
 fn scaling_run(
     config: rtim_core::SimConfig,
-    front_end: FrontEnd,
-    front_end_name: &str,
     threads: usize,
     capacity: usize,
     actions: &[Action],
@@ -261,7 +235,6 @@ fn scaling_run(
         "127.0.0.1:0",
         ServerConfig::new(config, FrameworkKind::Sic)
             .with_queue_capacity(capacity)
-            .with_front_end(front_end)
             .with_metrics("127.0.0.1:0")
             .with_tracing(rtim_core::TraceConfig::sampled(64, 50)),
     )
@@ -339,15 +312,9 @@ fn scaling_run(
         "scaling run lost actions"
     );
     ServeSetup {
-        name: format!(
-            "sic_{}_x{}_w{}_t{}",
-            if front_end_name == "event-loop" { "el" } else { "tpc" },
-            connections,
-            window,
-            threads
-        ),
+        name: format!("sic_el_x{connections}_w{window}_t{threads}"),
         framework: FrameworkKind::Sic.name().to_string(),
-        front_end: front_end_name.to_string(),
+        front_end: "event-loop".to_string(),
         threads,
         connections,
         in_flight: window,
@@ -439,8 +406,7 @@ fn drive(mut hand: Vec<PipeConn<'_>>, window: usize) -> u64 {
             match conn.chunks.next() {
                 Some(chunk) => {
                     if window <= 1 {
-                        // Lockstep: one frame, one ack (absorbing BUSY
-                        // retries on the threaded front-end).
+                        // Lockstep: one frame, one ack.
                         conn.busy += conn.client.ingest_blocking(chunk).expect("ingest");
                     } else {
                         if conn.in_flight.len() >= window {

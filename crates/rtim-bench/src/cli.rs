@@ -1,7 +1,7 @@
 //! Minimal command-line parsing shared by the experiment binaries.
 //!
-//! The binaries accept `--key value` pairs; unknown keys are rejected with a
-//! usage message.  This avoids an external argument-parsing dependency while
+//! The binaries accept `--key value` pairs; unknown keys and unparseable
+//! values are rejected with a message and exit status 2.  This avoids an external argument-parsing dependency while
 //! keeping every experiment overridable (dataset, scale, k, β, N, L, …).
 
 use std::collections::BTreeMap;
@@ -51,11 +51,24 @@ impl Args {
         self.values.get(key).map(|s| s.as_str())
     }
 
-    /// Typed value with a default.
+    /// Typed value with a default; a value that does not parse is an
+    /// error naming the flag and the value.
+    pub fn try_get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(raw) => raw
+                .parse()
+                .map_err(|_| format!("invalid value `{raw}` for `--{key}`")),
+        }
+    }
+
+    /// Typed value with a default.  A value that does not parse prints
+    /// the flag and value and exits with status 2, like an unknown flag.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get_or(key, default).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        })
     }
 
     /// `true` if the key was provided.
@@ -101,8 +114,11 @@ mod tests {
     }
 
     #[test]
-    fn malformed_values_fall_back_to_default() {
-        let a = args(&["--k", "abc"], &["k"]).unwrap();
-        assert_eq!(a.get_or("k", 3usize), 3);
+    fn malformed_values_are_rejected_naming_flag_and_value() {
+        let a = args(&["--k", "abc", "--beta", "0.5"], &["k", "beta"]).unwrap();
+        let err = a.try_get_or("k", 3usize).unwrap_err();
+        assert!(err.contains("--k") && err.contains("abc"), "{err}");
+        assert_eq!(a.try_get_or("beta", 0.1f64), Ok(0.5));
+        assert_eq!(a.try_get_or("missing", 7usize), Ok(7));
     }
 }

@@ -76,8 +76,8 @@ impl CommonArgs {
                 datasets
             },
             budget,
-            actions: args.get("actions").and_then(|v| v.parse().ok()),
-            users: args.get("users").and_then(|v| v.parse().ok()),
+            actions: args.has("actions").then(|| args.get_or("actions", 0)),
+            users: args.has("users").then(|| args.get_or("users", 0)),
         }
     }
 

@@ -39,7 +39,7 @@ pub struct ServeSetup {
     pub name: String,
     /// Framework name (`"SIC"` / `"IC"`).
     pub framework: String,
-    /// Server front-end (`"event-loop"` / `"threaded"`).
+    /// Server front-end (always `"event-loop"`; kept for the v4 schema).
     pub front_end: String,
     /// Worker threads backing the checkpoint set (1 = sequential).
     pub threads: usize,
@@ -111,8 +111,8 @@ pub struct ServeRun {
     pub query_nanos: u64,
     /// Maximum queue depth observed at any dequeue.
     pub max_queue_depth: u64,
-    /// `BUSY` replies absorbed by the clients (threaded front-end only;
-    /// the event loop parks instead of bouncing).
+    /// `BUSY` replies absorbed by the clients (always 0: the server parks
+    /// instead of bouncing; kept for the v4 schema).
     pub busy_retries: u64,
     /// Mid-run `QUERY` round-trips issued by the observer client.
     pub queries: u64,

@@ -35,7 +35,7 @@
 //! bit for bit (enable [`HandleOptions::journal`] to capture it).
 
 use crate::config::SimConfig;
-use crate::engine::{FeedBreakdown, SimEngine, SlideReport};
+use crate::engine::{SimEngine, SlideReport};
 use crate::framework::{FrameworkKind, Solution};
 use crate::metrics::EngineMetrics;
 use crate::trace::{FlightRecorder, SpanCtx, TraceConfig, TraceWriter};
@@ -402,6 +402,9 @@ impl std::fmt::Display for SnapshotRequestError {
 
 impl std::error::Error for SnapshotRequestError {}
 
+/// The answer to a snapshot request.
+type SnapshotResult = Result<SnapshotInfo, SnapshotRequestError>;
+
 /// Why a non-blocking asynchronous request did not enqueue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AsyncRequestError {
@@ -422,15 +425,45 @@ impl std::fmt::Display for AsyncRequestError {
 
 impl std::error::Error for AsyncRequestError {}
 
+/// A request answered through a [`CompletionSink`] (see
+/// [`IngestSender::try_request`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Request {
+    /// Answer the SIM query for the current window.
+    Query,
+    /// Report aggregate pipeline counters.
+    Stats,
+    /// Write a durable snapshot now.
+    Snapshot,
+}
+
 /// The payload of an asynchronously completed request.
 #[derive(Debug)]
 pub enum CompletionPayload {
-    /// Answer to [`IngestSender::try_query_async`].
+    /// Answer to [`Request::Query`].
     Solution(Solution),
-    /// Answer to [`IngestSender::try_stats_async`].
+    /// Answer to [`Request::Stats`].
     Stats(EngineStats),
-    /// Answer to [`IngestSender::try_snapshot_async`].
+    /// Answer to [`Request::Snapshot`].
     Snapshot(Result<SnapshotInfo, SnapshotRequestError>),
+}
+
+impl From<Solution> for CompletionPayload {
+    fn from(solution: Solution) -> Self {
+        CompletionPayload::Solution(solution)
+    }
+}
+
+impl From<EngineStats> for CompletionPayload {
+    fn from(stats: EngineStats) -> Self {
+        CompletionPayload::Stats(stats)
+    }
+}
+
+impl From<SnapshotResult> for CompletionPayload {
+    fn from(result: SnapshotResult) -> Self {
+        CompletionPayload::Snapshot(result)
+    }
 }
 
 /// One completed asynchronous request, tagged with the caller's token so
@@ -498,11 +531,30 @@ impl std::fmt::Display for HandleClosed {
 
 impl std::error::Error for HandleClosed {}
 
-/// Commands crossing the bounded queue.
+/// Where the engine thread sends one request's answer.
+enum Reply<T> {
+    /// A blocking caller parked on a one-shot channel.
+    Channel(mpsc::Sender<T>),
+    /// An event-driven caller: the answer goes through the sink, tagged
+    /// with the caller's token.
+    Sink { token: u64, sink: CompletionSink },
+}
+
+impl<T: Into<CompletionPayload>> Reply<T> {
+    /// Delivers the answer.  A requester that went away is ignored.
+    fn send(self, value: T) {
+        match self {
+            Reply::Channel(tx) => drop(tx.send(value)),
+            Reply::Sink { token, sink } => sink.complete(token, value.into()),
+        }
+    }
+}
+
+/// Commands crossing the bounded queue: one variant per request kind.
 ///
-/// The [`SpanCtx`] carried by the request variants is `Copy` and stamped
-/// by the front-end; with tracing disabled it is all zeros and costs
-/// nothing on the engine thread.
+/// The [`SpanCtx`] carried by every request is `Copy` and stamped by the
+/// front-end; blocking callers pass the all-zero default, which is never
+/// sampled and costs nothing on the engine thread.
 enum Command {
     /// An action batch from sender `source`, ids in the sender's space.
     Ingest {
@@ -511,29 +563,21 @@ enum Command {
         span: SpanCtx,
     },
     /// Answer the SIM query for the current window.
-    Query { reply: mpsc::Sender<Solution> },
+    Query {
+        reply: Reply<Solution>,
+        span: SpanCtx,
+    },
     /// Report aggregate counters.
-    Stats { reply: mpsc::Sender<EngineStats> },
+    Stats {
+        reply: Reply<EngineStats>,
+        span: SpanCtx,
+    },
     /// Write a durable snapshot now (ordered like any other command, so it
     /// covers everything enqueued before it).
     Snapshot {
-        reply: mpsc::Sender<Result<SnapshotInfo, SnapshotRequestError>>,
-    },
-    /// Asynchronous [`Command::Query`]: the answer travels through the
-    /// sink instead of parking the requester.
-    QueryAsync {
-        token: u64,
-        sink: CompletionSink,
+        reply: Reply<SnapshotResult>,
         span: SpanCtx,
     },
-    /// Asynchronous [`Command::Stats`].
-    StatsAsync {
-        token: u64,
-        sink: CompletionSink,
-        span: SpanCtx,
-    },
-    /// Asynchronous [`Command::Snapshot`].
-    SnapshotAsync { token: u64, sink: CompletionSink },
     /// Switch to draining: process what is queued, then exit.
     Shutdown,
 }
@@ -673,84 +717,56 @@ impl IngestSender {
     /// Answers the SIM query (ordered after everything this sender already
     /// enqueued; blocks while the queue is full).
     pub fn query(&self) -> Result<Solution, HandleClosed> {
-        round_trip(&self.tx, &self.shared, |reply| Command::Query { reply })
+        round_trip(&self.tx, &self.shared, |reply| Command::Query {
+            reply,
+            span: SpanCtx::default(),
+        })
     }
 
     /// Reports aggregate pipeline counters.
     pub fn stats(&self) -> Result<EngineStats, HandleClosed> {
-        round_trip(&self.tx, &self.shared, |reply| Command::Stats { reply })
+        round_trip(&self.tx, &self.shared, |reply| Command::Stats {
+            reply,
+            span: SpanCtx::default(),
+        })
     }
 
     /// Requests a durable snapshot covering everything this sender already
     /// enqueued (ordered through the same queue; blocks while it is full).
     pub fn snapshot(&self) -> Result<SnapshotInfo, SnapshotRequestError> {
-        round_trip(&self.tx, &self.shared, |reply| Command::Snapshot { reply })
-            .map_err(|HandleClosed| SnapshotRequestError::Closed)?
+        round_trip(&self.tx, &self.shared, |reply| Command::Snapshot {
+            reply,
+            span: SpanCtx::default(),
+        })
+        .map_err(|HandleClosed| SnapshotRequestError::Closed)?
     }
 
-    /// Enqueues a `QUERY` without blocking; the [`Solution`] arrives on
-    /// `sink` tagged with `token`.  A full queue is
-    /// [`AsyncRequestError::Full`] — nothing was enqueued, retry later.
-    pub fn try_query_async(
+    /// Enqueues `request` without blocking; the answer arrives on `sink`
+    /// tagged with `token`.  `span` is the front-end's trace context
+    /// ([`SpanCtx::default`] when untraced).  A full queue is
+    /// [`AsyncRequestError::Full`]: nothing was enqueued, retry later.
+    pub fn try_request(
         &self,
-        token: u64,
-        sink: &CompletionSink,
-    ) -> Result<(), AsyncRequestError> {
-        self.try_query_async_traced(token, sink, SpanCtx::default())
-    }
-
-    /// [`IngestSender::try_query_async`] with a trace span context.
-    pub fn try_query_async_traced(
-        &self,
+        request: Request,
         token: u64,
         sink: &CompletionSink,
         span: SpanCtx,
     ) -> Result<(), AsyncRequestError> {
-        self.try_async(Command::QueryAsync {
-            token,
-            sink: sink.clone(),
-            span,
-        })
-    }
-
-    /// Enqueues a `STATS` request without blocking (see
-    /// [`IngestSender::try_query_async`]).
-    pub fn try_stats_async(
-        &self,
-        token: u64,
-        sink: &CompletionSink,
-    ) -> Result<(), AsyncRequestError> {
-        self.try_stats_async_traced(token, sink, SpanCtx::default())
-    }
-
-    /// [`IngestSender::try_stats_async`] with a trace span context.
-    pub fn try_stats_async_traced(
-        &self,
-        token: u64,
-        sink: &CompletionSink,
-        span: SpanCtx,
-    ) -> Result<(), AsyncRequestError> {
-        self.try_async(Command::StatsAsync {
-            token,
-            sink: sink.clone(),
-            span,
-        })
-    }
-
-    /// Enqueues a `SNAPSHOT` request without blocking (see
-    /// [`IngestSender::try_query_async`]).
-    pub fn try_snapshot_async(
-        &self,
-        token: u64,
-        sink: &CompletionSink,
-    ) -> Result<(), AsyncRequestError> {
-        self.try_async(Command::SnapshotAsync {
-            token,
-            sink: sink.clone(),
-        })
-    }
-
-    fn try_async(&self, command: Command) -> Result<(), AsyncRequestError> {
+        let sink = sink.clone();
+        let command = match request {
+            Request::Query => Command::Query {
+                reply: Reply::Sink { token, sink },
+                span,
+            },
+            Request::Stats => Command::Stats {
+                reply: Reply::Sink { token, sink },
+                span,
+            },
+            Request::Snapshot => Command::Snapshot {
+                reply: Reply::Sink { token, sink },
+                span,
+            },
+        };
         match self.tx.try_send(command) {
             Ok(()) => {
                 self.shared.enqueued.fetch_add(1, Ordering::AcqRel);
@@ -803,10 +819,10 @@ impl std::fmt::Debug for SenderSpawner {
 fn round_trip<T>(
     tx: &SyncSender<Command>,
     shared: &Shared,
-    make: impl FnOnce(mpsc::Sender<T>) -> Command,
+    make: impl FnOnce(Reply<T>) -> Command,
 ) -> Result<T, HandleClosed> {
     let (reply_tx, reply_rx) = mpsc::channel();
-    tx.send(make(reply_tx)).map_err(|_| HandleClosed)?;
+    tx.send(make(Reply::Channel(reply_tx))).map_err(|_| HandleClosed)?;
     shared.enqueued.fetch_add(1, Ordering::AcqRel);
     reply_rx.recv().map_err(|_| HandleClosed)
 }
@@ -931,20 +947,29 @@ impl EngineHandle {
     /// Answers the SIM query for the current window.
     pub fn query(&self) -> Result<Solution, HandleClosed> {
         let tx = self.tx.as_ref().expect("handle not shut down");
-        round_trip(tx, &self.shared, |reply| Command::Query { reply })
+        round_trip(tx, &self.shared, |reply| Command::Query {
+            reply,
+            span: SpanCtx::default(),
+        })
     }
 
     /// Reports aggregate pipeline counters.
     pub fn stats(&self) -> Result<EngineStats, HandleClosed> {
         let tx = self.tx.as_ref().expect("handle not shut down");
-        round_trip(tx, &self.shared, |reply| Command::Stats { reply })
+        round_trip(tx, &self.shared, |reply| Command::Stats {
+            reply,
+            span: SpanCtx::default(),
+        })
     }
 
     /// Requests a durable snapshot of the current engine state.
     pub fn snapshot(&self) -> Result<SnapshotInfo, SnapshotRequestError> {
         let tx = self.tx.as_ref().expect("handle not shut down");
-        round_trip(tx, &self.shared, |reply| Command::Snapshot { reply })
-            .map_err(|HandleClosed| SnapshotRequestError::Closed)?
+        round_trip(tx, &self.shared, |reply| Command::Snapshot {
+            reply,
+            span: SpanCtx::default(),
+        })
+        .map_err(|HandleClosed| SnapshotRequestError::Closed)?
     }
 
     /// Initiates a drain and waits for the engine thread to finish.
@@ -998,29 +1023,6 @@ struct SourceState {
 /// Failed re-arm retries double their batch-count backoff up to this cap.
 const REARM_BACKOFF_CAP: u64 = 1024;
 
-/// How a completed snapshot answers its requester.
-enum SnapshotReply {
-    /// Slide-cadence background snapshot: nobody to answer.
-    Background,
-    /// A blocking [`IngestSender::snapshot`] round trip.
-    Channel(mpsc::Sender<Result<SnapshotInfo, SnapshotRequestError>>),
-    /// An asynchronous request routed back through a completion sink.
-    Sink { token: u64, sink: CompletionSink },
-}
-
-/// Answers a requester with a snapshot failure (a background snapshot has
-/// no requester; its failure is logged by the caller).
-fn reply_snapshot_error(reply: SnapshotReply, msg: String) {
-    let failed = Err(SnapshotRequestError::Failed(msg));
-    match reply {
-        SnapshotReply::Background => {}
-        SnapshotReply::Channel(tx) => drop(tx.send(failed)),
-        SnapshotReply::Sink { token, sink } => {
-            sink.complete(token, CompletionPayload::Snapshot(failed));
-        }
-    }
-}
-
 /// One snapshot handed to the writer thread.  The state was *captured* on
 /// the engine thread (preserving the one-writer invariant and the
 /// command-order guarantee); encoding and file I/O happen off-thread so
@@ -1029,7 +1031,8 @@ struct SnapshotJob {
     snapshot: EngineSnapshot,
     path: PathBuf,
     fs: Fs,
-    reply: SnapshotReply,
+    /// `None` for a slide-cadence background snapshot (nobody to answer).
+    reply: Option<Reply<SnapshotResult>>,
 }
 
 /// The writer thread's completion report, drained by the engine thread
@@ -1055,12 +1058,8 @@ fn snapshot_writer_loop(jobs: Receiver<SnapshotJob>, done: mpsc::Sender<Snapshot
             .as_ref()
             .map(|&bytes| SnapshotInfo { watermark, bytes })
             .map_err(|e| SnapshotRequestError::Failed(e.clone()));
-        match job.reply {
-            SnapshotReply::Background => {}
-            SnapshotReply::Channel(tx) => drop(tx.send(info)),
-            SnapshotReply::Sink { token, sink } => {
-                sink.complete(token, CompletionPayload::Snapshot(info));
-            }
+        if let Some(reply) = job.reply {
+            reply.send(info);
         }
         let _ = done.send(SnapshotDone {
             watermark,
@@ -1391,7 +1390,7 @@ impl Persistence {
     /// active segment), so the snapshot's watermark lands on a segment
     /// boundary and completion can compact whole segments — and the
     /// journal is never less durable than the snapshot that watermarks it.
-    fn dispatch_snapshot(&mut self, engine: &SimEngine, reply: SnapshotReply) {
+    fn dispatch_snapshot(&mut self, engine: &SimEngine, reply: Option<Reply<SnapshotResult>>) {
         let current = std::mem::replace(&mut self.durability, Durability::Disabled);
         self.durability = match current {
             Durability::Durable(mut journal) => match journal.rotate() {
@@ -1405,10 +1404,10 @@ impl Persistence {
         let snapshot = match engine.snapshot() {
             Ok(snapshot) => snapshot,
             Err(e) => {
-                if matches!(reply, SnapshotReply::Background) {
-                    eprintln!("rtim-engine: background snapshot capture failed: {e}");
+                match reply {
+                    Some(reply) => reply.send(Err(SnapshotRequestError::Failed(e.to_string()))),
+                    None => eprintln!("rtim-engine: background snapshot capture failed: {e}"),
                 }
-                reply_snapshot_error(reply, e.to_string());
                 return;
             }
         };
@@ -1424,7 +1423,10 @@ impl Persistence {
             Err(mpsc::SendError(job)) => {
                 // The writer thread is gone (it panicked); answer the
                 // requester rather than hanging it.
-                reply_snapshot_error(job.reply, "snapshot writer thread is gone".into());
+                if let Some(reply) = job.reply {
+                    let gone = "snapshot writer thread is gone".to_string();
+                    reply.send(Err(SnapshotRequestError::Failed(gone)));
+                }
             }
         }
     }
@@ -1439,7 +1441,7 @@ impl Persistence {
         {
             return;
         }
-        self.dispatch_snapshot(engine, SnapshotReply::Background);
+        self.dispatch_snapshot(engine, None);
     }
 
     /// Absorbs writer-thread completions: a success records the snapshot
@@ -1632,11 +1634,7 @@ fn engine_loop(
                         }
                     }
                 }
-                let (reports, breakdown) = if recorder.is_some() {
-                    engine.ingest_batch_traced(&rebased)
-                } else {
-                    (engine.ingest_batch(&rebased), FeedBreakdown::default())
-                };
+                let (reports, breakdown) = engine.ingest_batch_traced(&rebased);
                 stats.batches += 1;
                 stats.actions += rebased.len() as u64;
                 stats.slides += reports.len() as u64;
@@ -1729,32 +1727,7 @@ fn engine_loop(
                     metrics.observe_trace(rec.events_total(), rec.slow_total());
                 }
             }
-            Command::Query { reply } => {
-                let started = Instant::now();
-                let solution = engine.query();
-                let nanos = started.elapsed().as_nanos() as u64;
-                stats.query_nanos = stats.query_nanos.saturating_add(nanos);
-                metrics.record_query(nanos);
-                let _ = reply.send(solution);
-            }
-            Command::Stats { reply } => {
-                finish_stats(&mut stats, &engine, &shared, persistence.as_ref());
-                metrics.observe_stats(&stats);
-                let _ = reply.send(stats);
-            }
-            Command::Snapshot { reply } => match &mut persistence {
-                None => drop(reply.send(Err(SnapshotRequestError::Disabled))),
-                Some(p) => {
-                    let t_snap = recorder.as_ref().map_or(0, |r| r.now_nanos());
-                    p.dispatch_snapshot(&engine, SnapshotReply::Channel(reply));
-                    if let Some(t) = &mut tracer {
-                        let nanos = t.now_nanos().saturating_sub(t_snap);
-                        t.span(TraceStage::SnapshotDispatch.code(), u64::MAX, u32::MAX, nanos, 0);
-                        t.span(TraceStage::Lifecycle.code(), u64::MAX, u32::MAX, 0, 0);
-                    }
-                }
-            },
-            Command::QueryAsync { token, sink, span } => {
+            Command::Query { reply, span } => {
                 let t_dequeue = recorder.as_ref().map_or(0, |r| r.now_nanos());
                 let started = Instant::now();
                 let solution = engine.query();
@@ -1764,32 +1737,40 @@ fn engine_loop(
                 if let Some(t) = &mut tracer {
                     trace_request(t, span, t_dequeue, &[(TraceStage::OracleQuery, nanos)]);
                 }
-                sink.complete(token, CompletionPayload::Solution(solution));
+                reply.send(solution);
             }
-            Command::StatsAsync { token, sink, span } => {
+            Command::Stats { reply, span } => {
                 let t_dequeue = recorder.as_ref().map_or(0, |r| r.now_nanos());
                 finish_stats(&mut stats, &engine, &shared, persistence.as_ref());
                 metrics.observe_stats(&stats);
                 if let Some(t) = &mut tracer {
                     trace_request(t, span, t_dequeue, &[]);
                 }
-                sink.complete(token, CompletionPayload::Stats(stats));
+                reply.send(stats);
             }
-            Command::SnapshotAsync { token, sink } => match &mut persistence {
-                None => sink.complete(
-                    token,
-                    CompletionPayload::Snapshot(Err(SnapshotRequestError::Disabled)),
-                ),
-                Some(p) => {
-                    let t_snap = recorder.as_ref().map_or(0, |r| r.now_nanos());
-                    p.dispatch_snapshot(&engine, SnapshotReply::Sink { token, sink });
-                    if let Some(t) = &mut tracer {
-                        let nanos = t.now_nanos().saturating_sub(t_snap);
-                        t.span(TraceStage::SnapshotDispatch.code(), u64::MAX, u32::MAX, nanos, 0);
-                        t.span(TraceStage::Lifecycle.code(), u64::MAX, u32::MAX, 0, 0);
+            Command::Snapshot { reply, span } => {
+                let t_dequeue = recorder.as_ref().map_or(0, |r| r.now_nanos());
+                match &mut persistence {
+                    None => reply.send(Err(SnapshotRequestError::Disabled)),
+                    Some(p) => {
+                        p.dispatch_snapshot(&engine, Some(reply));
+                        if let Some(t) = &mut tracer {
+                            let nanos = t.now_nanos().saturating_sub(t_dequeue);
+                            t.span(
+                                TraceStage::SnapshotDispatch.code(),
+                                u64::MAX,
+                                u32::MAX,
+                                nanos,
+                                0,
+                            );
+                            t.span(TraceStage::Lifecycle.code(), u64::MAX, u32::MAX, 0, 0);
+                        }
                     }
                 }
-            },
+                if let Some(t) = &mut tracer {
+                    trace_request(t, span, t_dequeue, &[]);
+                }
+            }
             Command::Shutdown => {
                 draining = true;
             }
@@ -2211,6 +2192,50 @@ mod tests {
             Err(SnapshotRequestError::Disabled)
         ));
         handle.shutdown();
+    }
+
+    /// The two reply routes are one request path: between the same
+    /// ingests, a sink-routed `try_request` and its blocking twin get
+    /// equal answers for every request kind.
+    #[test]
+    fn blocking_and_sink_replies_agree_between_ingests() {
+        let dir = temp_dir("routes");
+        let handle = spawn_persistent(&dir, 0);
+        let mut sender = handle.sender();
+        let requester = handle.sender();
+        let (tx, rx) = mpsc::channel();
+        let sink = CompletionSink::new(tx, Arc::new(|| {}));
+        let mut token = 0u64;
+        // Waits for each sink answer before the blocking twin is sent, so
+        // both see the same engine state and an empty queue behind them.
+        let mut via_sink = |request: Request| {
+            token += 1;
+            requester
+                .try_request(request, token, &sink, SpanCtx::default())
+                .unwrap();
+            let completion = rx.recv().unwrap();
+            assert_eq!(completion.token, token);
+            completion.payload
+        };
+        for chunk in figure1_actions().chunks(3) {
+            sender.ingest(chunk.to_vec()).unwrap();
+            let CompletionPayload::Solution(solution) = via_sink(Request::Query) else {
+                panic!("query answered with another payload");
+            };
+            assert_eq!(solution, sender.query().unwrap());
+            let CompletionPayload::Stats(stats) = via_sink(Request::Stats) else {
+                panic!("stats answered with another payload");
+            };
+            assert_eq!(stats, sender.stats().unwrap());
+            let CompletionPayload::Snapshot(info) = via_sink(Request::Snapshot) else {
+                panic!("snapshot answered with another payload");
+            };
+            assert_eq!(info.unwrap(), sender.snapshot().unwrap());
+        }
+        assert_eq!(sender.stats().unwrap().actions, 10);
+        drop((sender, requester));
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Sample rate 1 + slow threshold 0: the engine lane carries stage

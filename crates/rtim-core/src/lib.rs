@@ -97,8 +97,8 @@ pub use framework::{Framework, FrameworkKind, ResolvedAction, Solution};
 pub use handle::{
     AsyncRequestError, Completion, CompletionPayload, CompletionSink, DurabilityState,
     EngineHandle, EngineReport, EngineStats, FsyncPolicy, HandleClosed, HandleOptions,
-    IngestError, IngestSender, PersistOptions, SenderSpawner, SnapshotInfo, SnapshotRequestError,
-    JOURNAL_FILE, RECENT_SLIDES, SNAPSHOT_FILE,
+    IngestError, IngestSender, PersistOptions, Request, SenderSpawner, SnapshotInfo,
+    SnapshotRequestError, JOURNAL_FILE, RECENT_SLIDES, SNAPSHOT_FILE,
 };
 pub use ic::IcFramework;
 pub use intern::UserInterner;

@@ -19,9 +19,9 @@
 //! * [`EngineMetrics`] — the registry: sliding histograms for feed time,
 //!   query time and observed ingest-queue depth (engine thread only, one
 //!   short mutex hold per slide), plain atomic counters for the
-//!   front-end events that never touch the engine thread (`BUSY`
-//!   replies, parked requests, connection churn), and atomic gauges
-//!   refreshed from [`EngineStats`] after every batch.
+//!   front-end events that never touch the engine thread (parked
+//!   requests, connection churn), and one copy of the latest
+//!   [`EngineStats`], stored under the same mutex after every batch.
 //!
 //! Scraping is **passive**: [`EngineMetrics::render_prometheus`] reads
 //! the registry and nothing else — it never enqueues an engine command —
@@ -211,7 +211,8 @@ impl SlidingHistogram {
 
 /// The engine-thread side of the registry, behind one mutex: the three
 /// sliding histograms share a rotation so "the last W slides" means the
-/// same thing for every quantile.
+/// same thing for every quantile, and the latest stats copy backs every
+/// engine gauge.
 struct MetricsInner {
     /// Per-slide feed time (resolution + window + checkpoint updates).
     feed: SlidingHistogram,
@@ -221,38 +222,23 @@ struct MetricsInner {
     /// (only slides that crossed the queue are sampled — synchronous
     /// replays carry no depth).
     depth: SlidingHistogram,
+    /// The engine's counters as of the last batch or `STATS` answer.
+    stats: EngineStats,
 }
 
 /// Shared metrics registry of one engine pipeline.
 ///
 /// Created by [`crate::EngineHandle::spawn`] and shared (`Arc`) between
-/// the engine thread (histograms + gauges), the server front-ends
+/// the engine thread (histograms + stats copy), the server front-end
 /// (connection/backpressure counters) and whatever serves `/metrics`
 /// (reads only).  All methods take `&self`.
 pub struct EngineMetrics {
     inner: Mutex<MetricsInner>,
     // ---- front-end event counters (never touch the engine thread) ----
-    busy_replies: AtomicU64,
     parked_requests: AtomicU64,
     connections_opened: AtomicU64,
     connections_closed: AtomicU64,
     queries: AtomicU64,
-    // ---- gauges refreshed from EngineStats after every batch ----
-    actions: AtomicU64,
-    batches: AtomicU64,
-    slides: AtomicU64,
-    checkpoints: AtomicU64,
-    oracle_updates: AtomicU64,
-    queue_depth: AtomicU64,
-    max_queue_depth: AtomicU64,
-    users: AtomicU64,
-    orphaned_replies: AtomicU64,
-    shard_migrations: AtomicU64,
-    shard_ewma_min_nanos: AtomicU64,
-    shard_ewma_max_nanos: AtomicU64,
-    journal_lag_batches: AtomicU64,
-    snapshot_age_slides: AtomicU64,
-    durability_state: AtomicU64,
     // ---- arena + tracing gauges (engine thread, refreshed per batch) ----
     arena_takes: AtomicU64,
     arena_hits: AtomicU64,
@@ -279,27 +265,12 @@ impl EngineMetrics {
                 feed: SlidingHistogram::new(window),
                 query: SlidingHistogram::new(window),
                 depth: SlidingHistogram::new(window),
+                stats: EngineStats::default(),
             }),
-            busy_replies: AtomicU64::new(0),
             parked_requests: AtomicU64::new(0),
             connections_opened: AtomicU64::new(0),
             connections_closed: AtomicU64::new(0),
             queries: AtomicU64::new(0),
-            actions: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            slides: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            oracle_updates: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
-            users: AtomicU64::new(0),
-            orphaned_replies: AtomicU64::new(0),
-            shard_migrations: AtomicU64::new(0),
-            shard_ewma_min_nanos: AtomicU64::new(0),
-            shard_ewma_max_nanos: AtomicU64::new(0),
-            journal_lag_batches: AtomicU64::new(0),
-            snapshot_age_slides: AtomicU64::new(0),
-            durability_state: AtomicU64::new(0),
             arena_takes: AtomicU64::new(0),
             arena_hits: AtomicU64::new(0),
             trace_events: AtomicU64::new(0),
@@ -335,24 +306,10 @@ impl EngineMetrics {
         self.locked().query.record(nanos);
     }
 
-    /// Engine thread: refreshes every gauge from a finished stats
-    /// snapshot (after each batch and on every STATS answer).
+    /// Engine thread: stores a finished stats snapshot (after each batch
+    /// and on every STATS answer); every engine gauge reads this copy.
     pub fn observe_stats(&self, stats: &EngineStats) {
-        self.actions.store(stats.actions, Ordering::Relaxed);
-        self.batches.store(stats.batches, Ordering::Relaxed);
-        self.slides.store(stats.slides, Ordering::Relaxed);
-        self.checkpoints.store(stats.checkpoints, Ordering::Relaxed);
-        self.oracle_updates.store(stats.oracle_updates, Ordering::Relaxed);
-        self.queue_depth.store(stats.queue_depth, Ordering::Relaxed);
-        self.max_queue_depth.store(stats.max_queue_depth, Ordering::Relaxed);
-        self.users.store(stats.users, Ordering::Relaxed);
-        self.orphaned_replies.store(stats.orphaned_replies, Ordering::Relaxed);
-        self.shard_migrations.store(stats.shard_migrations, Ordering::Relaxed);
-        self.shard_ewma_min_nanos.store(stats.shard_ewma_min_nanos, Ordering::Relaxed);
-        self.shard_ewma_max_nanos.store(stats.shard_ewma_max_nanos, Ordering::Relaxed);
-        self.journal_lag_batches.store(stats.journal_lag_batches, Ordering::Relaxed);
-        self.snapshot_age_slides.store(stats.snapshot_age_slides, Ordering::Relaxed);
-        self.durability_state.store(stats.durability_state, Ordering::Relaxed);
+        self.locked().stats = *stats;
     }
 
     /// Engine thread: refreshes the bitmap-arena allocation gauges
@@ -371,14 +328,8 @@ impl EngineMetrics {
         self.trace_slow_ops.store(slow_ops, Ordering::Relaxed);
     }
 
-    /// Front-end: one `BUSY` backpressure reply was sent (threaded
-    /// front-end only — the event loop parks instead).
-    pub fn incr_busy_reply(&self) {
-        self.busy_replies.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Front-end: one request found the engine queue full and was parked
-    /// until a slot freed (event-loop front-end).
+    /// until a slot freed.
     pub fn incr_parked_request(&self) {
         self.parked_requests.fetch_add(1, Ordering::Relaxed);
     }
@@ -391,11 +342,6 @@ impl EngineMetrics {
     /// Front-end: one client connection was closed.
     pub fn incr_connection_closed(&self) {
         self.connections_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `BUSY` replies sent so far.
-    pub fn busy_replies(&self) -> u64 {
-        self.busy_replies.load(Ordering::Relaxed)
     }
 
     /// Requests parked on a full queue so far.
@@ -435,12 +381,13 @@ impl EngineMetrics {
     /// durability/pool gauges.  Purely a read — never talks to the
     /// engine.
     pub fn render_prometheus(&self) -> String {
-        let (feed, query, depth) = {
+        let (feed, query, depth, stats) = {
             let inner = self.locked();
             (
                 inner.feed.aggregate(),
                 inner.query.aggregate(),
                 inner.depth.aggregate(),
+                inner.stats,
             )
         };
         let mut out = String::with_capacity(4096);
@@ -462,16 +409,11 @@ impl EngineMetrics {
             "Ingest-queue depth observed at batch dequeue over the sliding window",
             &depth,
         );
-        let counters: [(&str, &str, u64); 13] = [
-            ("rtim_actions_total", "Actions ingested", self.actions.load(Ordering::Relaxed)),
-            ("rtim_batches_total", "Ingest batches dequeued", self.batches.load(Ordering::Relaxed)),
-            ("rtim_slides_total", "Window slides fed", self.slides.load(Ordering::Relaxed)),
+        let counters: [(&str, &str, u64); 12] = [
+            ("rtim_actions_total", "Actions ingested", stats.actions),
+            ("rtim_batches_total", "Ingest batches dequeued", stats.batches),
+            ("rtim_slides_total", "Window slides fed", stats.slides),
             ("rtim_queries_total", "SIM queries answered", self.queries.load(Ordering::Relaxed)),
-            (
-                "rtim_busy_replies_total",
-                "BUSY backpressure replies sent (threaded front-end)",
-                self.busy_replies.load(Ordering::Relaxed),
-            ),
             (
                 "rtim_parked_requests_total",
                 "Requests parked on a full queue (event-loop front-end)",
@@ -490,7 +432,7 @@ impl EngineMetrics {
             (
                 "rtim_orphaned_replies_total",
                 "Replies degraded to roots (unknown or pruned parent)",
-                self.orphaned_replies.load(Ordering::Relaxed),
+                stats.orphaned_replies,
             ),
             (
                 "rtim_arena_takes_total",
@@ -520,44 +462,44 @@ impl EngineMetrics {
             (
                 "rtim_queue_depth_current",
                 "Commands waiting in the ingest queue now",
-                self.queue_depth.load(Ordering::Relaxed),
+                stats.queue_depth,
             ),
             (
                 "rtim_queue_depth_max",
                 "Maximum queue depth observed at any dequeue",
-                self.max_queue_depth.load(Ordering::Relaxed),
+                stats.max_queue_depth,
             ),
-            ("rtim_checkpoints", "Checkpoints currently maintained", self.checkpoints.load(Ordering::Relaxed)),
-            ("rtim_users", "Distinct users interned", self.users.load(Ordering::Relaxed)),
+            ("rtim_checkpoints", "Checkpoints currently maintained", stats.checkpoints),
+            ("rtim_users", "Distinct users interned", stats.users),
             (
                 "rtim_oracle_updates_total",
                 "Oracle element updates performed",
-                self.oracle_updates.load(Ordering::Relaxed),
+                stats.oracle_updates,
             ),
             (
                 "rtim_shard_migrations_total",
                 "Checkpoints migrated between pool shards",
-                self.shard_migrations.load(Ordering::Relaxed),
+                stats.shard_migrations,
             ),
             (
                 "rtim_shard_ewma_min_nanos",
                 "Smallest per-shard feed-time EWMA",
-                self.shard_ewma_min_nanos.load(Ordering::Relaxed),
+                stats.shard_ewma_min_nanos,
             ),
             (
                 "rtim_shard_ewma_max_nanos",
                 "Largest per-shard feed-time EWMA",
-                self.shard_ewma_max_nanos.load(Ordering::Relaxed),
+                stats.shard_ewma_max_nanos,
             ),
             (
                 "rtim_journal_lag_batches",
                 "Ingested batches whose journal persistence is not yet guaranteed",
-                self.journal_lag_batches.load(Ordering::Relaxed),
+                stats.journal_lag_batches,
             ),
             (
                 "rtim_snapshot_age_slides",
                 "Window slides since the last successful snapshot",
-                self.snapshot_age_slides.load(Ordering::Relaxed),
+                stats.snapshot_age_slides,
             ),
         ];
         for (name, help, value) in gauges {
@@ -568,7 +510,7 @@ impl EngineMetrics {
             "rtim_durability_state",
             "Durability state: 0 disabled, 1 durable, 2 degraded",
             "gauge",
-            self.durability_state.load(Ordering::Relaxed),
+            stats.durability_state,
         );
         out
     }
@@ -577,7 +519,6 @@ impl EngineMetrics {
 impl std::fmt::Debug for EngineMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineMetrics")
-            .field("busy_replies", &self.busy_replies())
             .field("parked_requests", &self.parked_requests())
             .finish()
     }
@@ -684,7 +625,6 @@ mod tests {
             ..SlideReport::default()
         });
         metrics.record_query(5678);
-        metrics.incr_busy_reply();
         metrics.incr_parked_request();
         metrics.observe_arena(100, 90);
         metrics.observe_trace(7, 2);
@@ -695,7 +635,6 @@ mod tests {
             "rtim_feed_nanos{quantile=\"0.99\"}",
             "rtim_query_nanos{quantile=\"0.99\"}",
             "rtim_queue_depth{quantile=\"0.99\"}",
-            "rtim_busy_replies_total 1",
             "rtim_parked_requests_total 1",
             "rtim_journal_lag_batches",
             "rtim_snapshot_age_slides",

@@ -73,8 +73,8 @@ pub enum IngestReply {
         queue_depth: u32,
     },
     /// The bounded queue was full — back off and retry the same batch.
-    /// Only the thread-per-connection front-end answers this; the event
-    /// loop parks the request instead.
+    /// The protocol reserves this reply; `RtimServer` never sends it (it
+    /// parks the request instead).
     Busy {
         /// The server's queue capacity (retry-pacing hint).
         capacity: u32,
@@ -152,10 +152,9 @@ impl RtimClient {
     }
 
     /// Opens a pipelined ingest session with up to `max_in_flight`
-    /// unacknowledged correlated `INGEST`s on this connection.  Requires a
-    /// server front-end that accepts pipelining (the event loop; the
-    /// thread-per-connection baseline still serializes, gaining nothing,
-    /// and its `BUSY` replies fail the session).  Drop-safe: the session
+    /// unacknowledged correlated `INGEST`s on this connection.  A `BUSY`
+    /// reply fails the session (a bounced batch cannot be retried behind
+    /// later ones without breaking id order).  Drop-safe: the session
     /// borrows the client, and [`PipelinedIngest::drain`] must be called
     /// to collect outstanding `ACK`s before issuing plain requests again.
     pub fn pipelined(&mut self, max_in_flight: usize) -> PipelinedIngest<'_> {
@@ -339,8 +338,7 @@ impl PipelinedIngest<'_> {
                 Ok(())
             }
             Frame::Busy { .. } => Err(ClientError::Server(
-                "BUSY during pipelined ingest — pipelining requires the event-loop front-end"
-                    .into(),
+                "BUSY during pipelined ingest — pipelining requires a parking server".into(),
             )),
             Frame::Error { message, .. } => Err(ClientError::Server(message)),
             other => Err(ClientError::Unexpected(format!(

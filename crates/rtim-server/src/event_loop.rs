@@ -1,6 +1,6 @@
-//! The readiness-driven multiplexed front-end: a small pool of event-loop
-//! threads driving every connection through non-blocking sockets and
-//! [`crate::poll`], in place of a thread per connection.
+//! The server's front-end: a small pool of event-loop threads driving
+//! every connection through non-blocking sockets and [`crate::poll`], so
+//! connection count never dictates thread count.
 //!
 //! ```text
 //!  client ─┐                       ┌─ poll ── loop thread 0 (+ listener) ─┐
@@ -22,8 +22,8 @@
 //! self-pipe registered in the poll set, carrying a token that routes the
 //! reply to its connection and correlation id.
 //!
-//! **Backpressure** works differently from the threaded front-end: a full
-//! engine queue never answers `BUSY` here.  A pipelined client may have
+//! **Backpressure** never answers `BUSY` (the protocol reserves that
+//! frame, but this server never sends it).  A pipelined client may have
 //! more ingests in flight behind the full one, and a `BUSY`'d batch
 //! retried after a later batch was accepted would break the sender's
 //! strictly-increasing id invariant.  Instead the loop *parks* the request
@@ -45,7 +45,7 @@ use crate::protocol::{
 };
 use rtim_core::{
     AsyncRequestError, Completion, CompletionPayload, CompletionSink, EngineMetrics,
-    FlightRecorder, IngestError, IngestSender, SenderSpawner, SpanCtx, TraceWriter,
+    FlightRecorder, IngestError, IngestSender, Request, SenderSpawner, SpanCtx, TraceWriter,
 };
 use rtim_stream::trace::{TraceDump, TraceStage};
 use std::collections::{HashMap, VecDeque};
@@ -173,15 +173,11 @@ enum Parked {
         corr: Option<u32>,
         span: SpanCtx,
     },
-    Query {
+    Request {
+        request: Request,
         corr: Option<u32>,
         span: SpanCtx,
     },
-    Stats {
-        corr: Option<u32>,
-        span: SpanCtx,
-    },
-    Snapshot,
 }
 
 /// Routing entry for an in-flight engine completion.
@@ -525,7 +521,7 @@ impl LoopThread {
                 Err(e) => match parse_error_consumed(&conn.rbuf[pos..], &e) {
                     Some(used) => {
                         // The bad frame was well-delimited; report it and
-                        // stay in sync (threaded-path parity).
+                        // stay in sync.
                         pos += used;
                         push_reply(
                             conn,
@@ -602,13 +598,16 @@ impl LoopThread {
             }
             Frame::Query { corr } => {
                 let span = self.make_span(i, crate::protocol::kind::QUERY, corr);
-                self.submit_async(i, Parked::Query { corr, span }, false);
+                self.submit_request(i, Request::Query, corr, span, false);
             }
             Frame::Stats { corr } => {
                 let span = self.make_span(i, crate::protocol::kind::STATS, corr);
-                self.submit_async(i, Parked::Stats { corr, span }, false);
+                self.submit_request(i, Request::Stats, corr, span, false);
             }
-            Frame::Snapshot => self.submit_async(i, Parked::Snapshot, false),
+            Frame::Snapshot => {
+                let span = self.make_span(i, crate::protocol::kind::SNAPSHOT, None);
+                self.submit_request(i, Request::Snapshot, None, span, false);
+            }
             Frame::Trace {
                 max_events,
                 slow_only,
@@ -749,39 +748,25 @@ impl LoopThread {
     /// Enqueues a completion-routed request (`QUERY`/`STATS`/`SNAPSHOT`),
     /// parking it when the queue is full (`retry` as in
     /// [`LoopThread::submit_ingest`]).
-    fn submit_async(&mut self, i: usize, mut request: Parked, retry: bool) {
-        if let Some(tracer) = &self.tracer {
-            // First-attempt enqueue stamp, as in `submit_ingest`.
-            let now = tracer.now_nanos();
-            if let Parked::Query { span, .. } | Parked::Stats { span, .. } = &mut request {
-                if span.enqueue_nanos == 0 {
-                    span.enqueue_nanos = now;
-                }
+    fn submit_request(
+        &mut self,
+        i: usize,
+        request: Request,
+        corr: Option<u32>,
+        mut span: SpanCtx,
+        retry: bool,
+    ) {
+        // First-attempt enqueue stamp, as in `submit_ingest`.
+        if span.enqueue_nanos == 0 {
+            if let Some(tracer) = &self.tracer {
+                span.enqueue_nanos = tracer.now_nanos();
             }
         }
         let Some(conn) = self.conns[i].as_mut() else {
             return;
         };
         let token = self.next_token;
-        let (result, corr, span) = match &request {
-            Parked::Query { corr, span } => (
-                conn.sender.try_query_async_traced(token, &self.sink, *span),
-                *corr,
-                *span,
-            ),
-            Parked::Stats { corr, span } => (
-                conn.sender.try_stats_async_traced(token, &self.sink, *span),
-                *corr,
-                *span,
-            ),
-            Parked::Snapshot => (
-                conn.sender.try_snapshot_async(token, &self.sink),
-                None,
-                SpanCtx::default(),
-            ),
-            Parked::Ingest { .. } => unreachable!("ingest goes through submit_ingest"),
-        };
-        match result {
+        match conn.sender.try_request(request, token, &self.sink, span) {
             Ok(()) => {
                 self.next_token += 1;
                 self.pending.insert(
@@ -799,7 +784,11 @@ impl LoopThread {
                 if !retry {
                     self.shared.metrics.incr_parked_request();
                 }
-                conn.parked = Some(request);
+                conn.parked = Some(Parked::Request {
+                    request,
+                    corr,
+                    span,
+                });
             }
             Err(AsyncRequestError::Closed) => {
                 push_reply(
@@ -908,7 +897,11 @@ impl LoopThread {
                     corr,
                     span,
                 } => self.submit_ingest(i, actions, corr, span, true),
-                other => self.submit_async(i, other, true),
+                Parked::Request {
+                    request,
+                    corr,
+                    span,
+                } => self.submit_request(i, request, corr, span, true),
             }
             let resumed = self.conns[i]
                 .as_ref()
@@ -947,12 +940,7 @@ impl LoopThread {
         self.listener = None;
         for conn in self.conns.iter_mut().flatten() {
             if let Some(request) = conn.parked.take() {
-                let corr = match request {
-                    Parked::Ingest { corr, .. }
-                    | Parked::Query { corr, .. }
-                    | Parked::Stats { corr, .. } => corr,
-                    Parked::Snapshot => None,
-                };
+                let (Parked::Ingest { corr, .. } | Parked::Request { corr, .. }) = request;
                 push_reply(
                     conn,
                     &Frame::Error {

@@ -6,26 +6,22 @@
 //! engine keeps sliding its window — the serving workload the paper's
 //! *real-time* premise implies.
 //!
-//! The server is deliberately `std::net`-only (no async runtime).  The
-//! default front-end is a **readiness-driven event loop** ([`event_loop`]):
-//! a small pool of loop threads multiplexes every connection through
+//! The server is deliberately `std::net`-only (no async runtime).  Its
+//! front-end is a **readiness-driven event loop** ([`event_loop`]): a
+//! small pool of loop threads multiplexes every connection through
 //! non-blocking sockets and a hand-rolled `poll(2)` binding ([`poll`]), so
 //! thousands of connections cost thousands of sockets, not thousands of
 //! threads — and clients may **pipeline** correlated requests (protocol
-//! v2) instead of stalling on a round trip each.  The legacy
-//! thread-per-connection front-end ([`threaded`]) remains selectable via
-//! [`FrontEnd::ThreadPerConnection`] for one release as a differential
-//! baseline.
+//! v2) instead of stalling on a round trip each.
 //!
-//! Either way, the [`rtim_core::EngineHandle`] bounded-queue pipeline sits
-//! behind the sockets: front-end threads **parse and enqueue**; a single
-//! engine thread owns the [`rtim_core::SimEngine`] and drains batches in
-//! arrival order, which preserves the one-writer invariant that keeps
-//! interner minting and pool sharding bit-identical to an offline replay
-//! of the same arrival order.  Backpressure is explicit — the threaded
-//! front-end replies `BUSY` on a full queue; the event loop parks the
-//! request and lets TCP flow control stall the sender (Polynesia-style
-//! isolation of the ingest path from the analytical path either way).
+//! The [`rtim_core::EngineHandle`] bounded-queue pipeline sits behind the
+//! sockets: loop threads **parse and enqueue**; a single engine thread
+//! owns the [`rtim_core::SimEngine`] and drains batches in arrival order,
+//! which preserves the one-writer invariant that keeps interner minting
+//! and pool sharding bit-identical to an offline replay of the same
+//! arrival order.  A full queue parks the request and lets TCP flow
+//! control stall the sender (Polynesia-style isolation of the ingest path
+//! from the analytical path).
 //!
 //! See `docs/SERVER.md` for the full protocol specification (framing
 //! layout, correlation ids and pipelining ordering guarantees, id-space
@@ -90,8 +86,7 @@ mod metrics_http;
 pub mod poll;
 pub mod protocol;
 pub mod server;
-pub mod threaded;
 
 pub use client::{ClientError, IngestReply, PipelinedIngest, RtimClient};
 pub use protocol::{Frame, FrameError, MAX_FRAME_LEN, PROTOCOL_VERSION};
-pub use server::{FrontEnd, RtimServer, ServerConfig, ServerReport};
+pub use server::{RtimServer, ServerConfig, ServerReport};

@@ -80,8 +80,7 @@ impl MetricsSidecar {
     /// Stops the acceptor (flag + self-connect wake) and joins it.
     pub(crate) fn stop(mut self) {
         self.stop.store(true, Ordering::Release);
-        // Unblock the blocking accept the same way the threaded front-end
-        // wakes its acceptor: a throwaway connection.
+        // Unblock the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
@@ -348,7 +347,7 @@ mod tests {
     #[test]
     fn serves_prometheus_text_and_404s_everything_else() {
         let metrics = Arc::new(EngineMetrics::new());
-        metrics.incr_busy_reply();
+        metrics.incr_parked_request();
         let sidecar = MetricsSidecar::start("127.0.0.1:0", Arc::clone(&metrics), None).unwrap();
         let addr = sidecar.addr();
 
@@ -357,7 +356,7 @@ mod tests {
         assert!(ok.contains("text/plain; version=0.0.4"), "{ok}");
         assert!(ok.contains("rtim_feed_nanos"), "{ok}");
         assert!(ok.contains("rtim_durability_state"), "{ok}");
-        assert!(ok.contains("rtim_busy_replies_total 1"), "{ok}");
+        assert!(ok.contains("rtim_parked_requests_total 1"), "{ok}");
         // The declared length matches the body exactly.
         let (head, body) = ok.split_once("\r\n\r\n").unwrap();
         let declared: usize = head

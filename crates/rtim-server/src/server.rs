@@ -1,54 +1,24 @@
-//! The TCP server: a front-end (event loop or legacy thread-per-
-//! connection) in front of the bounded-queue engine pipeline.
+//! The TCP server: the event-loop front-end in front of the
+//! bounded-queue engine pipeline.
 //!
-//! The default front-end is the poll-based event loop
-//! ([`FrontEnd::EventLoop`], see [`crate::event_loop`]): a small pool of
-//! loop threads drives every connection through non-blocking sockets, so
-//! connection count no longer dictates thread count and clients may
-//! pipeline correlated requests.  The previous thread-per-connection
-//! model ([`crate::threaded`]) remains selectable for one release as a
-//! differential baseline.
-//!
-//! Whichever front-end runs, the engine contract is identical: every
-//! connection holds its own [`rtim_core::IngestSender`] (one private id
-//! space, remapped onto global arrival order), all requests travel the
-//! same bounded queue, and a client always observes its own preceding
-//! ingests.  Shutdown — from a `SHUTDOWN` frame or the owner — stops
-//! accepting, lets the front-end drain what it owes, then drains the
-//! engine queue; actions `ACK`ed before the drain began are guaranteed to
-//! be processed.
+//! A small pool of loop threads ([`crate::event_loop`]) drives every
+//! connection through non-blocking sockets, so connection count never
+//! dictates thread count and clients may pipeline correlated requests.
+//! Every connection holds its own [`rtim_core::IngestSender`] (one
+//! private id space, remapped onto global arrival order), all requests
+//! travel the same bounded queue, and a client always observes its own
+//! preceding ingests.  Shutdown — from a `SHUTDOWN` frame or the owner —
+//! stops accepting, lets the loops deliver what they owe, then drains
+//! the engine queue; actions `ACK`ed before the drain began are
+//! guaranteed to be processed.
 
+use crate::event_loop::EventLoopRuntime;
 use crate::metrics_http::MetricsSidecar;
-use crate::{event_loop, threaded};
 use rtim_core::{
     EngineHandle, FrameworkKind, HandleOptions, PersistOptions, SimConfig, TraceConfig,
 };
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-
-/// Which connection-handling model the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// The poll-based event loop: `threads` loop threads multiplex every
-    /// connection (default, with 2 threads).
-    EventLoop {
-        /// Loop threads (clamped to at least 1).  Thread 0 also owns the
-        /// listener; connections are assigned round-robin.
-        threads: usize,
-    },
-    /// One OS thread per connection.  **Deprecated**: kept one release as
-    /// a differential baseline for the event loop, then it will be
-    /// removed.  Does not support request pipelining (replies are
-    /// emitted strictly in request order, and a full queue answers
-    /// `BUSY` instead of parking).
-    ThreadPerConnection,
-}
-
-impl Default for FrontEnd {
-    fn default() -> Self {
-        FrontEnd::EventLoop { threads: 2 }
-    }
-}
 
 /// Server configuration: the SIM query plus pipeline knobs.
 #[derive(Debug, Clone)]
@@ -70,8 +40,9 @@ pub struct ServerConfig {
     /// the `SNAPSHOT` frame) and crash recovery at startup.  `None` = the
     /// engine state lives and dies with the process.
     pub persist: Option<PersistOptions>,
-    /// The connection-handling front-end.
-    pub front_end: FrontEnd,
+    /// Event-loop threads (at least 1).  Thread 0 also owns the listener;
+    /// connections are assigned round-robin.
+    pub event_loop_threads: usize,
     /// Listen address for the Prometheus `/metrics` HTTP sidecar
     /// (e.g. `"127.0.0.1:0"` for an ephemeral port).  `None` = no sidecar.
     pub metrics: Option<String>,
@@ -82,8 +53,8 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A configuration with the default pipeline knobs (capacity 64, no
-    /// journal, unbounded remap tables, no persistence, event-loop
-    /// front-end).
+    /// journal, unbounded remap tables, no persistence, two event-loop
+    /// threads).
     pub fn new(sim: SimConfig, kind: FrameworkKind) -> Self {
         ServerConfig {
             sim,
@@ -92,7 +63,7 @@ impl ServerConfig {
             journal: false,
             remap_horizon: None,
             persist: None,
-            front_end: FrontEnd::default(),
+            event_loop_threads: 2,
             metrics: None,
             trace: TraceConfig::default(),
         }
@@ -123,17 +94,9 @@ impl ServerConfig {
         self
     }
 
-    /// Selects the connection-handling front-end.
-    pub fn with_front_end(mut self, front_end: FrontEnd) -> Self {
-        self.front_end = front_end;
-        self
-    }
-
-    /// Shorthand for the event-loop front-end with `threads` loop threads.
+    /// Sets the number of event-loop threads (clamped to at least 1).
     pub fn with_event_loop_threads(mut self, threads: usize) -> Self {
-        self.front_end = FrontEnd::EventLoop {
-            threads: threads.max(1),
-        };
+        self.event_loop_threads = threads.max(1);
         self
     }
 
@@ -159,12 +122,6 @@ impl ServerConfig {
 /// slide reports with their observed queue depths).
 pub type ServerReport = rtim_core::EngineReport;
 
-/// The running front-end, whichever model was configured.
-enum Runtime {
-    EventLoop(event_loop::EventLoopRuntime),
-    Threaded(threaded::ThreadedRuntime),
-}
-
 /// A running RTIM server.
 ///
 /// Dropping the server without calling [`RtimServer::shutdown`] or
@@ -172,12 +129,12 @@ enum Runtime {
 pub struct RtimServer {
     addr: SocketAddr,
     handle: Option<EngineHandle>,
-    runtime: Option<Runtime>,
+    runtime: Option<EventLoopRuntime>,
     sidecar: Option<MetricsSidecar>,
 }
 
 impl RtimServer {
-    /// Binds the listener and spawns the engine + front-end threads.
+    /// Binds the listener and spawns the engine and event-loop threads.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<RtimServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -208,18 +165,13 @@ impl RtimServer {
         // One fresh sender (one private id space) per accepted connection,
         // minted on the accepting thread via the spawner.
         let spawner = handle.sender_spawner();
-        let runtime = match config.front_end {
-            FrontEnd::EventLoop { threads } => Runtime::EventLoop(
-                event_loop::EventLoopRuntime::start(listener, spawner, threads, metrics, recorder)?,
-            ),
-            FrontEnd::ThreadPerConnection => Runtime::Threaded(threaded::ThreadedRuntime::start(
-                listener,
-                spawner,
-                config.queue_capacity.max(1) as u32,
-                metrics,
-                recorder,
-            )),
-        };
+        let runtime = EventLoopRuntime::start(
+            listener,
+            spawner,
+            config.event_loop_threads,
+            metrics,
+            recorder,
+        )?;
         Ok(RtimServer {
             addr,
             handle: Some(handle),
@@ -271,16 +223,14 @@ impl RtimServer {
     }
 
     fn stop(&mut self, initiate: bool) -> ServerReport {
-        // The front-end threads exit first (the engine must stay up while
-        // they deliver in-flight completions), then the queue drains.
+        // The loop threads exit first (the engine must stay up while they
+        // deliver in-flight completions), then the queue drains.
         // With `initiate = false` the runtime stop *blocks* until a client
         // sends SHUTDOWN, so the sidecar must outlive it — `/metrics`
         // stays scrapeable for the server's whole life, including the
         // drain.  It only reads, so nothing is owed on teardown.
-        match self.runtime.take() {
-            Some(Runtime::EventLoop(runtime)) => runtime.stop(initiate),
-            Some(Runtime::Threaded(runtime)) => runtime.stop(initiate, self.addr),
-            None => {}
+        if let Some(runtime) = self.runtime.take() {
+            runtime.stop(initiate);
         }
         if let Some(sidecar) = self.sidecar.take() {
             sidecar.stop();
@@ -314,19 +264,10 @@ mod tests {
     use crate::protocol::Frame;
     use rtim_stream::Action;
 
-    /// Both front-ends, so every test in this module runs against each.
-    fn front_ends() -> [FrontEnd; 2] {
-        [
-            FrontEnd::EventLoop { threads: 2 },
-            FrontEnd::ThreadPerConnection,
-        ]
-    }
-
-    fn toy_server_with(front_end: FrontEnd) -> RtimServer {
+    fn toy_server() -> RtimServer {
         let config = ServerConfig::new(SimConfig::new(2, 0.3, 8, 2), FrameworkKind::Ic)
             .with_journal(true)
-            .with_queue_capacity(8)
-            .with_front_end(front_end);
+            .with_queue_capacity(8);
         RtimServer::bind("127.0.0.1:0", config).unwrap()
     }
 
@@ -347,96 +288,81 @@ mod tests {
 
     #[test]
     fn ingest_query_stats_shutdown_over_loopback() {
-        for front_end in front_ends() {
-            let server = toy_server_with(front_end);
-            let mut client = RtimClient::connect(server.local_addr()).unwrap();
-            let actions = figure1_actions();
-            for batch in actions.chunks(4) {
-                // A full queue surfaces as BUSY (threaded) or as a parked
-                // retry the client never sees (event loop); either way a
-                // blocking ingest lands every batch exactly once instead
-                // of panicking on backpressure.
-                client.ingest_blocking(batch).unwrap();
-            }
-            let solution = client.query().unwrap();
-            assert_eq!(solution.value, 6.0, "{front_end:?}");
-            let stats = client.stats().unwrap();
-            assert_eq!(stats.actions, 10, "{front_end:?}");
-            assert_eq!(stats.batches, 3, "{front_end:?}");
-            client.shutdown().unwrap();
-            let report = server.wait();
-            assert_eq!(report.stats.actions, 10, "{front_end:?}");
-            assert_eq!(report.final_solution.value, 6.0, "{front_end:?}");
-            assert_eq!(
-                report.journal.unwrap().actions(),
-                actions.as_slice(),
-                "{front_end:?}"
-            );
+        let server = toy_server();
+        let mut client = RtimClient::connect(server.local_addr()).unwrap();
+        let actions = figure1_actions();
+        for batch in actions.chunks(4) {
+            // A full queue parks the batch server-side; the client only
+            // sees a late ACK, and every batch lands exactly once.
+            client.ingest_blocking(batch).unwrap();
         }
+        let solution = client.query().unwrap();
+        assert_eq!(solution.value, 6.0);
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.actions, 10);
+        assert_eq!(stats.batches, 3);
+        client.shutdown().unwrap();
+        let report = server.wait();
+        assert_eq!(report.stats.actions, 10);
+        assert_eq!(report.final_solution.value, 6.0);
+        assert_eq!(report.journal.unwrap().actions(), actions.as_slice());
     }
 
     #[test]
     fn malformed_frames_get_typed_errors_and_the_connection_survives() {
         use std::io::Write as _;
-        for front_end in front_ends() {
-            let server = toy_server_with(front_end);
-            let mut client = RtimClient::connect(server.local_addr()).unwrap();
-            // Inject a bodyless QUERY with trailing garbage at the raw socket.
-            let raw = client.raw_stream();
-            let mut bad = vec![0x02];
-            bad.extend_from_slice(&2u32.to_le_bytes());
-            bad.extend_from_slice(b"xx");
-            raw.write_all(&bad).unwrap();
-            let err = client.read_error().unwrap();
-            assert!(err.contains("trailing bytes"), "{front_end:?}: {err}");
-            // The connection still works afterwards.
-            client.ingest(&[Action::root(1u64, 1u32)]).unwrap();
-            assert_eq!(client.stats().unwrap().actions, 1, "{front_end:?}");
-            drop(client);
-            let report = server.shutdown();
-            assert_eq!(report.stats.actions, 1, "{front_end:?}");
-        }
+        let server = toy_server();
+        let mut client = RtimClient::connect(server.local_addr()).unwrap();
+        // Inject a bodyless QUERY with trailing garbage at the raw socket.
+        let raw = client.raw_stream();
+        let mut bad = vec![0x02];
+        bad.extend_from_slice(&2u32.to_le_bytes());
+        bad.extend_from_slice(b"xx");
+        raw.write_all(&bad).unwrap();
+        let err = client.read_error().unwrap();
+        assert!(err.contains("trailing bytes"), "{err}");
+        // The connection still works afterwards.
+        client.ingest(&[Action::root(1u64, 1u32)]).unwrap();
+        assert_eq!(client.stats().unwrap().actions, 1);
+        drop(client);
+        let report = server.shutdown();
+        assert_eq!(report.stats.actions, 1);
     }
 
     #[test]
     fn client_dropping_mid_batch_leaves_the_server_healthy() {
         use std::io::Write as _;
-        for front_end in front_ends() {
-            let server = toy_server_with(front_end);
-            // A client that writes half an INGEST frame and vanishes.
-            {
-                let mut half = std::net::TcpStream::connect(server.local_addr()).unwrap();
-                let frame = crate::protocol::encode_frame(&Frame::Ingest {
-                    actions: figure1_actions(),
-                    corr: None,
-                });
-                half.write_all(&frame[..frame.len() / 2]).unwrap();
-                // dropped here, mid-frame
-            }
-            // A well-behaved client is unaffected.
-            let mut client = RtimClient::connect(server.local_addr()).unwrap();
-            client.ingest(&figure1_actions()).unwrap();
-            assert_eq!(client.query().unwrap().value, 6.0, "{front_end:?}");
-            drop(client);
-            let report = server.shutdown();
-            assert_eq!(report.stats.actions, 10, "{front_end:?}");
+        let server = toy_server();
+        // A client that writes half an INGEST frame and vanishes.
+        {
+            let mut half = std::net::TcpStream::connect(server.local_addr()).unwrap();
+            let frame = crate::protocol::encode_frame(&Frame::Ingest {
+                actions: figure1_actions(),
+                corr: None,
+            });
+            half.write_all(&frame[..frame.len() / 2]).unwrap();
+            // dropped here, mid-frame
         }
+        // A well-behaved client is unaffected.
+        let mut client = RtimClient::connect(server.local_addr()).unwrap();
+        client.ingest(&figure1_actions()).unwrap();
+        assert_eq!(client.query().unwrap().value, 6.0);
+        drop(client);
+        let report = server.shutdown();
+        assert_eq!(report.stats.actions, 10);
     }
 
     /// An idle connected client (no frames, no close) must not stall the
-    /// drain.  The threaded path unblocks its parked read via the peer
-    /// registry; the event loop simply closes the drained connection.
+    /// drain: the event loop simply closes the drained connection.
     #[test]
     fn shutdown_is_not_stalled_by_an_idle_client() {
-        for front_end in front_ends() {
-            let server = toy_server_with(front_end);
-            let mut active = RtimClient::connect(server.local_addr()).unwrap();
-            let _idle = RtimClient::connect(server.local_addr()).unwrap(); // never speaks
-            active.ingest(&figure1_actions()).unwrap();
-            drop(active);
-            let report = server.shutdown();
-            assert_eq!(report.stats.actions, 10, "{front_end:?}");
-        }
+        let server = toy_server();
+        let mut active = RtimClient::connect(server.local_addr()).unwrap();
+        let _idle = RtimClient::connect(server.local_addr()).unwrap(); // never speaks
+        active.ingest(&figure1_actions()).unwrap();
+        drop(active);
+        let report = server.shutdown();
+        assert_eq!(report.stats.actions, 10);
     }
 
     /// An oversized length prefix cannot be resynchronized: the server
@@ -444,36 +370,32 @@ mod tests {
     #[test]
     fn oversized_frame_reports_then_closes() {
         use std::io::Write as _;
-        for front_end in front_ends() {
-            let server = toy_server_with(front_end);
-            let mut client = RtimClient::connect(server.local_addr()).unwrap();
-            let raw = client.raw_stream();
-            let mut bad = vec![0x01]; // INGEST claiming a 4 GiB payload
-            bad.extend_from_slice(&u32::MAX.to_le_bytes());
-            bad.extend_from_slice(&[0x04, 0, 0, 0, 0]); // would parse as SHUTDOWN if desynced
-            raw.write_all(&bad).unwrap();
-            let err = client.read_error().unwrap();
-            assert!(err.contains("exceeds the maximum"), "{front_end:?}: {err}");
-            // The connection is closed; the server itself is still up.
-            assert!(client.query().is_err(), "{front_end:?}");
-            let mut fresh = RtimClient::connect(server.local_addr()).unwrap();
-            fresh.ingest(&[Action::root(1u64, 1u32)]).unwrap();
-            let report = server.shutdown();
-            assert_eq!(report.stats.actions, 1, "{front_end:?}");
-        }
+        let server = toy_server();
+        let mut client = RtimClient::connect(server.local_addr()).unwrap();
+        let raw = client.raw_stream();
+        let mut bad = vec![0x01]; // INGEST claiming a 4 GiB payload
+        bad.extend_from_slice(&u32::MAX.to_le_bytes());
+        bad.extend_from_slice(&[0x04, 0, 0, 0, 0]); // would parse as SHUTDOWN if desynced
+        raw.write_all(&bad).unwrap();
+        let err = client.read_error().unwrap();
+        assert!(err.contains("exceeds the maximum"), "{err}");
+        // The connection is closed; the server itself is still up.
+        assert!(client.query().is_err());
+        let mut fresh = RtimClient::connect(server.local_addr()).unwrap();
+        fresh.ingest(&[Action::root(1u64, 1u32)]).unwrap();
+        let report = server.shutdown();
+        assert_eq!(report.stats.actions, 1);
     }
 
     #[test]
     fn owner_side_shutdown_stops_accepting() {
-        for front_end in front_ends() {
-            let server = toy_server_with(front_end);
-            let addr = server.local_addr();
-            let report = server.shutdown();
-            assert_eq!(report.stats.actions, 0, "{front_end:?}");
-            // After shutdown the port is released (or at least refuses the
-            // protocol): a fresh connect must not receive a HELLO.
-            assert!(RtimClient::connect(addr).is_err(), "{front_end:?}");
-        }
+        let server = toy_server();
+        let addr = server.local_addr();
+        let report = server.shutdown();
+        assert_eq!(report.stats.actions, 0);
+        // After shutdown the port is released (or at least refuses the
+        // protocol): a fresh connect must not receive a HELLO.
+        assert!(RtimClient::connect(addr).is_err());
     }
 
     /// The event loop never answers `BUSY`: a full queue parks the ingest
@@ -501,48 +423,44 @@ mod tests {
     }
 
     /// The `/metrics` sidecar scrapes live engine state over plain HTTP:
-    /// latency summaries appear once traffic flows, the BUSY counter
-    /// reflects threaded-front-end backpressure, and the port is torn
+    /// latency summaries appear once traffic flows, and the port is torn
     /// down with the server.
     #[test]
     fn metrics_sidecar_serves_live_engine_state() {
         use std::io::{Read as _, Write as _};
-        for front_end in front_ends() {
-            let config = ServerConfig::new(SimConfig::new(2, 0.3, 8, 2), FrameworkKind::Ic)
-                .with_queue_capacity(8)
-                .with_front_end(front_end)
-                .with_metrics("127.0.0.1:0");
-            let server = RtimServer::bind("127.0.0.1:0", config).unwrap();
-            let scrape_addr = server.metrics_addr().expect("sidecar enabled");
+        let config = ServerConfig::new(SimConfig::new(2, 0.3, 8, 2), FrameworkKind::Ic)
+            .with_queue_capacity(8)
+            .with_metrics("127.0.0.1:0");
+        let server = RtimServer::bind("127.0.0.1:0", config).unwrap();
+        let scrape_addr = server.metrics_addr().expect("sidecar enabled");
 
-            let mut client = RtimClient::connect(server.local_addr()).unwrap();
-            client.ingest_blocking(&figure1_actions()).unwrap();
-            client.query().unwrap();
+        let mut client = RtimClient::connect(server.local_addr()).unwrap();
+        client.ingest_blocking(&figure1_actions()).unwrap();
+        client.query().unwrap();
 
-            let mut scrape = std::net::TcpStream::connect(scrape_addr).unwrap();
-            scrape
-                .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
-                .unwrap();
-            let mut response = String::new();
-            scrape.read_to_string(&mut response).unwrap();
-            assert!(response.starts_with("HTTP/1.0 200 OK"), "{front_end:?}");
-            for needle in [
-                "rtim_feed_nanos{quantile=\"0.5\"}",
-                "rtim_feed_nanos{quantile=\"0.99\"}",
-                "rtim_query_nanos{quantile=\"0.95\"}",
-                "rtim_queue_depth",
-                "rtim_durability_state 0",
-                "rtim_actions_total 10",
-                "rtim_connections_opened_total",
-            ] {
-                assert!(response.contains(needle), "{front_end:?}: missing {needle}\n{response}");
-            }
-            drop(client);
-            let report = server.shutdown();
-            assert_eq!(report.stats.actions, 10, "{front_end:?}");
-            // The scrape port was released with the server.
-            assert!(std::net::TcpListener::bind(scrape_addr).is_ok());
+        let mut scrape = std::net::TcpStream::connect(scrape_addr).unwrap();
+        scrape
+            .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
+            .unwrap();
+        let mut response = String::new();
+        scrape.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.0 200 OK"));
+        for needle in [
+            "rtim_feed_nanos{quantile=\"0.5\"}",
+            "rtim_feed_nanos{quantile=\"0.99\"}",
+            "rtim_query_nanos{quantile=\"0.95\"}",
+            "rtim_queue_depth",
+            "rtim_durability_state 0",
+            "rtim_actions_total 10",
+            "rtim_connections_opened_total",
+        ] {
+            assert!(response.contains(needle), "missing {needle}\n{response}");
         }
+        drop(client);
+        let report = server.shutdown();
+        assert_eq!(report.stats.actions, 10);
+        // The scrape port was released with the server.
+        assert!(std::net::TcpListener::bind(scrape_addr).is_ok());
     }
 
     /// The tracing acceptance path over the wire: with sampling at 1 and
@@ -615,15 +533,13 @@ mod tests {
     /// empty dump — rather than erroring.
     #[test]
     fn trace_without_tracing_returns_an_empty_dump() {
-        for front_end in front_ends() {
-            let server = toy_server_with(front_end);
-            let mut client = RtimClient::connect(server.local_addr()).unwrap();
-            let dump = client.trace(1024, false).unwrap();
-            assert!(dump.events.is_empty(), "{front_end:?}");
-            assert!(dump.slow_ops.is_empty(), "{front_end:?}");
-            drop(client);
-            server.shutdown();
-        }
+        let server = toy_server();
+        let mut client = RtimClient::connect(server.local_addr()).unwrap();
+        let dump = client.trace(1024, false).unwrap();
+        assert!(dump.events.is_empty());
+        assert!(dump.slow_ops.is_empty());
+        drop(client);
+        server.shutdown();
     }
 
     /// Pipelined ingest over the event loop: correlation ids come back in

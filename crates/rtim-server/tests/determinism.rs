@@ -8,8 +8,8 @@
 //!
 //! > final `QUERY` (seeds + value) == `SimEngine::run_stream` over the
 //! > journaled arrival-order trace, bit for bit, at pool threads 1 and 4,
-//! > on the event-loop front-end (window 1 and pipelined window 16) and
-//! > on the thread-per-connection baseline.
+//! > over one or two event-loop threads, lockstep (window 1) and
+//! > pipelined (window 16).
 //!
 //! Every client batch is a multiple of the slide length `L`, so the
 //! server's within-batch slide cuts land on the same boundaries as the
@@ -18,7 +18,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtim_core::{FrameworkKind, SimConfig, SimEngine};
-use rtim_server::{FrontEnd, IngestReply, RtimClient, RtimServer, ServerConfig};
+use rtim_server::{IngestReply, RtimClient, RtimServer, ServerConfig};
 use rtim_stream::Action;
 
 /// One client's scripted stream: ids 1..=n in its private space, replying
@@ -49,7 +49,7 @@ fn run_case(
     threads: usize,
     clients: usize,
     per_client: usize,
-    front_end: FrontEnd,
+    loop_threads: usize,
     window: usize,
 ) {
     const L: usize = 100;
@@ -59,7 +59,7 @@ fn run_case(
         ServerConfig::new(config, FrameworkKind::Sic)
             .with_journal(true)
             .with_queue_capacity(16)
-            .with_front_end(front_end),
+            .with_event_loop_threads(loop_threads),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -123,12 +123,12 @@ fn run_case(
 
     assert_eq!(
         live.seeds, offline_solution.seeds,
-        "threads={threads} {front_end:?} window={window}: seed sets diverged"
+        "threads={threads} loops={loop_threads} window={window}: seed sets diverged"
     );
     assert_eq!(
         live.value.to_bits(),
         offline_solution.value.to_bits(),
-        "threads={threads} {front_end:?} window={window}: values diverged ({} vs {})",
+        "threads={threads} loops={loop_threads} window={window}: values diverged ({} vs {})",
         live.value,
         offline_solution.value
     );
@@ -145,13 +145,13 @@ fn run_case(
 /// sequential pool.
 #[test]
 fn concurrent_clients_match_offline_replay_sequential() {
-    run_case(1, 5, 20_000, FrontEnd::EventLoop { threads: 2 }, 1);
+    run_case(1, 5, 20_000, 2, 1);
 }
 
 /// Same workload with a 4-worker shard pool behind the engine thread.
 #[test]
 fn concurrent_clients_match_offline_replay_pool4() {
-    run_case(4, 5, 20_000, FrontEnd::EventLoop { threads: 2 }, 1);
+    run_case(4, 5, 20_000, 2, 1);
 }
 
 /// Eight pipelined clients, each with a 16-batch in-flight window racing
@@ -159,21 +159,14 @@ fn concurrent_clients_match_offline_replay_pool4() {
 /// yet the served answers stay bit-identical to the offline replay.
 #[test]
 fn pipelined_eight_clients_window16_match_offline_replay() {
-    run_case(1, 8, 10_000, FrontEnd::EventLoop { threads: 1 }, 16);
+    run_case(1, 8, 10_000, 1, 16);
 }
 
 /// Pipelined interleave across a 2-thread loop pool with the shard pool
 /// behind the engine — the full concurrency stack at once.
 #[test]
 fn pipelined_clients_over_two_loop_threads_pool4() {
-    run_case(4, 8, 10_000, FrontEnd::EventLoop { threads: 2 }, 16);
-}
-
-/// The deprecated thread-per-connection baseline still satisfies the same
-/// invariant (differential check while it remains selectable).
-#[test]
-fn threaded_baseline_matches_offline_replay() {
-    run_case(1, 5, 10_000, FrontEnd::ThreadPerConnection, 1);
+    run_case(4, 8, 10_000, 2, 16);
 }
 
 /// A `/metrics` + `/trace` scraper hammering the sidecar concurrently
@@ -271,60 +264,46 @@ fn scraping_does_not_perturb_bit_identity_under_256_connections() {
 
 /// Eight clients with tiny ragged-but-aligned batches still serialize into
 /// one valid arrival order (smaller volume; exercises interleaving, not
-/// throughput), on both front-ends.
+/// throughput).  The queue holds only 4 commands, so batches park; the
+/// server never answers `BUSY`.
 #[test]
 fn eight_clients_interleave_cleanly() {
-    for front_end in [
-        FrontEnd::EventLoop { threads: 2 },
-        FrontEnd::ThreadPerConnection,
-    ] {
-        const L: usize = 10;
-        let config = SimConfig::new(3, 0.4, 100, L);
-        let server = RtimServer::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(config, FrameworkKind::Ic)
-                .with_journal(true)
-                .with_queue_capacity(4)
-                .with_front_end(front_end),
-        )
-        .unwrap();
-        let addr = server.local_addr();
-        let workers: Vec<_> = (0..8)
-            .map(|c| {
-                std::thread::spawn(move || {
-                    let script = client_script(7 + c as u64, 600, 150);
-                    let mut client = RtimClient::connect(addr).unwrap();
-                    for chunk in script.chunks(3 * L) {
-                        match client.ingest(chunk).unwrap() {
-                            IngestReply::Ack { accepted, .. } => {
-                                assert_eq!(accepted, chunk.len() as u64)
-                            }
-                            // Only the threaded front-end answers BUSY;
-                            // the event loop parks instead.
-                            IngestReply::Busy { capacity } => {
-                                assert_eq!(capacity, 4);
-                                client.ingest_blocking(chunk).unwrap();
-                            }
+    const L: usize = 10;
+    let config = SimConfig::new(3, 0.4, 100, L);
+    let server = RtimServer::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(config, FrameworkKind::Ic)
+            .with_journal(true)
+            .with_queue_capacity(4),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let workers: Vec<_> = (0..8)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let script = client_script(7 + c as u64, 600, 150);
+                let mut client = RtimClient::connect(addr).unwrap();
+                for chunk in script.chunks(3 * L) {
+                    match client.ingest(chunk).unwrap() {
+                        IngestReply::Ack { accepted, .. } => {
+                            assert_eq!(accepted, chunk.len() as u64)
                         }
+                        IngestReply::Busy { .. } => panic!("the server parks, never BUSY"),
                     }
-                })
+                }
             })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let mut probe = RtimClient::connect(addr).unwrap();
-        let live = probe.query().unwrap();
-        probe.shutdown().unwrap();
-        let report = server.wait();
-        assert_eq!(report.stats.actions, 8 * 600, "{front_end:?}");
-        let mut offline = SimEngine::new_ic(config);
-        let offline_solution = offline.run_stream(&report.journal.unwrap()).final_solution();
-        assert_eq!(live.seeds, offline_solution.seeds, "{front_end:?}");
-        assert_eq!(
-            live.value.to_bits(),
-            offline_solution.value.to_bits(),
-            "{front_end:?}"
-        );
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
     }
+    let mut probe = RtimClient::connect(addr).unwrap();
+    let live = probe.query().unwrap();
+    probe.shutdown().unwrap();
+    let report = server.wait();
+    assert_eq!(report.stats.actions, 8 * 600);
+    let mut offline = SimEngine::new_ic(config);
+    let offline_solution = offline.run_stream(&report.journal.unwrap()).final_solution();
+    assert_eq!(live.seeds, offline_solution.seeds);
+    assert_eq!(live.value.to_bits(), offline_solution.value.to_bits());
 }

@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use rtim_datagen::{DatasetConfig, DatasetKind, Scale};
     pub use rtim_graph::{build_window_graph, monte_carlo_spread, InfluenceGraph};
-    pub use rtim_server::{FrontEnd, PipelinedIngest, RtimClient, RtimServer, ServerConfig};
+    pub use rtim_server::{PipelinedIngest, RtimClient, RtimServer, ServerConfig};
     pub use rtim_stream::{Action, ActionId, SlidingWindow, SocialStream, UserId};
     pub use rtim_submodular::{OracleKind, UnitWeight};
 }
