@@ -1,16 +1,14 @@
 //! Scalability of IC/SIC in window size N and slide length L (the micro
-//! view of Figures 10 and 11), plus the feed-strategy comparison: the
-//! persistent [`ShardPool`] against the legacy per-slide scoped-thread
-//! fan-out it replaced, at 1/2/4/8 workers.
+//! view of Figures 10 and 11), plus the persistent [`ShardPool`]'s feed
+//! cost at 1/2/4/8 workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtim_core::parallel::feed_all_scoped;
 use rtim_core::{
     Checkpoint, FrameworkKind, ResolvedAction, ShardPool, SimConfig, SimEngine,
 };
 use rtim_datagen::{DatasetConfig, DatasetKind, Scale};
 use rtim_stream::{SocialStream, UserId};
-use rtim_submodular::{DenseWeights, OracleConfig, OracleKind};
+use rtim_submodular::{OracleConfig, OracleKind};
 use std::time::Duration;
 
 fn stream() -> SocialStream {
@@ -105,10 +103,8 @@ fn fresh_checkpoints() -> Vec<Checkpoint> {
         .collect()
 }
 
-/// Persistent worker pool vs. per-slide `std::thread::scope` fan-out: the
-/// scoped path pays thread startup on every one of the `SLIDES` slides, the
-/// pool spawns its workers once per run.  The pool must be no slower at
-/// every thread count (and pulls ahead as slides shrink or threads grow).
+/// The persistent worker pool over `SLIDES` slides, spawning its workers
+/// once per run.
 fn bench_feed_strategy(c: &mut Criterion) {
     let slides = resolved_slides();
     let mut group = c.benchmark_group("scalability_feed_strategy");
@@ -117,19 +113,6 @@ fn bench_feed_strategy(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(4))
         .warm_up_time(Duration::from_millis(500));
     for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("scoped_per_slide", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut cps = fresh_checkpoints();
-                    for slide in &slides {
-                        feed_all_scoped(&mut cps, slide, threads, &DenseWeights::Unit);
-                    }
-                    cps.iter().map(|c| c.value()).sum::<f64>()
-                });
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("persistent_pool", threads),
             &threads,

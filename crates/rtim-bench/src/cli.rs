@@ -56,9 +56,7 @@ impl Args {
     pub fn try_get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("invalid value `{raw}` for `--{key}`")),
+            Some(raw) => raw.parse().map_err(|_| invalid_value(key, raw)),
         }
     }
 
@@ -75,6 +73,12 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.values.contains_key(key)
     }
+}
+
+/// The error for a value of `--key` that does not parse or names nothing
+/// known.
+pub(crate) fn invalid_value(key: &str, raw: &str) -> String {
+    format!("invalid value `{raw}` for `--{key}`")
 }
 
 fn usage(allowed: &[&str], reason: &str) -> String {

@@ -4,7 +4,7 @@
 //! at their Table-4 defaults; these helpers run the sweeps and return the
 //! per-method series so that the binaries only parse arguments and print.
 
-use crate::cli::Args;
+use crate::cli::{invalid_value, Args};
 use crate::params::ExperimentParams;
 use crate::quality::evaluate_average_spread;
 use crate::report::Series;
@@ -35,50 +35,48 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
-    /// Resolves common arguments with laptop-scale defaults.
+    /// Resolves common arguments with laptop-scale defaults.  An unknown
+    /// name or an unparseable value prints the flag and value and exits
+    /// with status 2, like an unknown flag.
     pub fn resolve(args: &Args) -> CommonArgs {
-        let scale = args
-            .get("scale")
-            .and_then(Scale::parse)
-            .unwrap_or(Scale::Small);
-        let dataset = args
-            .get("dataset")
-            .and_then(DatasetKind::parse)
-            .unwrap_or(DatasetKind::SynN);
-        let mut params = ExperimentParams::at_scale(dataset, scale);
-        params.k = args.get_or("k", params.k);
-        params.beta = args.get_or("beta", params.beta);
-        params.window = args.get_or("window", params.window);
-        params.slide = args.get_or("slide", params.slide).max(1);
-        params.mc_rounds = args.get_or("mc-rounds", params.mc_rounds);
-        params.eval_every = args.get_or("eval-every", params.eval_every).max(1);
-        params.seed = args.get_or("seed", params.seed);
+        Self::try_resolve(args).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        })
+    }
 
-        let datasets = match args.get("datasets") {
-            Some(list) => list
+    /// [`CommonArgs::resolve`], returning the error instead of exiting.
+    fn try_resolve(args: &Args) -> Result<CommonArgs, String> {
+        let scale = parsed(args, "scale", Scale::parse)?.unwrap_or(Scale::Small);
+        let dataset = parsed(args, "dataset", DatasetKind::parse)?;
+        let mut params = ExperimentParams::at_scale(dataset.unwrap_or(DatasetKind::SynN), scale);
+        params.k = args.try_get_or("k", params.k)?;
+        params.beta = args.try_get_or("beta", params.beta)?;
+        params.window = args.try_get_or("window", params.window)?;
+        params.slide = args.try_get_or("slide", params.slide)?.max(1);
+        params.mc_rounds = args.try_get_or("mc-rounds", params.mc_rounds)?;
+        params.eval_every = args.try_get_or("eval-every", params.eval_every)?.max(1);
+        params.seed = args.try_get_or("seed", params.seed)?;
+
+        let datasets = match (args.get("datasets"), dataset) {
+            (Some(list), _) => list
                 .split(',')
-                .filter_map(DatasetKind::parse)
-                .collect::<Vec<_>>(),
-            None => match args.get("dataset") {
-                Some(_) => vec![dataset],
-                None => DatasetKind::all().to_vec(),
-            },
+                .map(|n| DatasetKind::parse(n).ok_or_else(|| invalid_value("datasets", n)))
+                .collect::<Result<Vec<_>, _>>()?,
+            (None, Some(dataset)) => vec![dataset],
+            (None, None) => DatasetKind::all().to_vec(),
         };
         let budget = BaselineBudget {
-            max_slides: args.get_or("max-slides", 0usize),
+            max_slides: args.try_get_or("max-slides", 0usize)?,
             ..BaselineBudget::default()
         };
-        CommonArgs {
+        Ok(CommonArgs {
             params,
-            datasets: if datasets.is_empty() {
-                DatasetKind::all().to_vec()
-            } else {
-                datasets
-            },
+            datasets,
             budget,
-            actions: args.has("actions").then(|| args.get_or("actions", 0)),
-            users: args.has("users").then(|| args.get_or("users", 0)),
-        }
+            actions: parsed(args, "actions", |raw| raw.parse().ok())?,
+            users: parsed(args, "users", |raw| raw.parse().ok())?,
+        })
     }
 
     /// Generates the stream for a dataset with the resolved overrides.
@@ -92,6 +90,14 @@ impl CommonArgs {
         }
         cfg.generate()
     }
+}
+
+/// The value of `--key` parsed with `parse`, if given; one that does not
+/// parse is an error naming the flag and the value.
+fn parsed<T>(args: &Args, key: &str, parse: fn(&str) -> Option<T>) -> Result<Option<T>, String> {
+    args.get(key)
+        .map(|raw| parse(raw).ok_or_else(|| invalid_value(key, raw)))
+        .transpose()
 }
 
 /// Result of a β sweep on one dataset: IC and SIC runs per β (Figures 5–7).

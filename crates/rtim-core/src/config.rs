@@ -19,7 +19,7 @@ pub struct SimConfig {
     /// Which streaming-submodular oracle backs each checkpoint (Table 2).
     pub oracle: OracleKind,
     /// Number of worker threads used to update checkpoints per slide
-    /// (1 = sequential; see [`crate::parallel`]).
+    /// (1 = sequential; see [`crate::pool`]).
     pub threads: usize,
 }
 

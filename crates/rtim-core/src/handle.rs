@@ -15,9 +15,12 @@
 //!   blocking, so callers can reply with explicit backpressure;
 //! * a single engine thread owns the [`SimEngine`], dequeues commands in
 //!   arrival order, and drains batches through
-//!   [`SimEngine::ingest_batch`] — the queue order *is* the stream order;
+//!   [`SimEngine::ingest_batch_traced`] — the queue order *is* the stream
+//!   order;
 //! * queries and stats requests travel through the same queue, so a
-//!   producer that ingests then queries observes its own writes.
+//!   producer that ingests then queries observes its own writes;
+//! * the engine thread also owns the durable state (journal, snapshot
+//!   writer, recovery), which lives in `durable.rs`.
 //!
 //! ## Id rebasing
 //!
@@ -35,175 +38,24 @@
 //! bit for bit (enable [`HandleOptions::journal`] to capture it).
 
 use crate::config::SimConfig;
+pub use crate::durable::{
+    DurabilityState, FsyncPolicy, PersistOptions, SnapshotInfo, SnapshotRequestError, JOURNAL_FILE,
+};
+use crate::durable::{Persistence, SnapshotResult};
 use crate::engine::{SimEngine, SlideReport};
 use crate::framework::{FrameworkKind, Solution};
 use crate::metrics::EngineMetrics;
-use crate::trace::{FlightRecorder, SpanCtx, TraceConfig, TraceWriter};
 pub use crate::snapshot::SNAPSHOT_FILE;
-use crate::snapshot::{
-    recover_engine_with, write_snapshot_atomic_with, write_snapshot_bytes_atomic, EngineSnapshot,
-};
+use crate::trace::{Clock, FlightRecorder, SpanCtx, TraceConfig, TraceWriter};
 use fxhash::FxHashMap;
-use rtim_stream::persist::faultfs::Fs;
-use rtim_stream::persist::segjournal::{
-    segment_file_name, CompletedSegment, SegmentedJournal, LEGACY_JOURNAL_FILE,
-};
-use rtim_stream::trace::{SlowOp, TraceStage, SLOW_STAGES};
+use rtim_stream::trace::TraceStage;
 use rtim_stream::{Action, ActionId, SocialStream};
 use serde::{Deserialize, Serialize};
-use std::io;
-use std::path::PathBuf;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
-
-/// File name of the first (legacy, pre-rotation) journal segment inside a
-/// persistence directory.  Rotated segments are named `journal.NNNNNN.rtaj`
-/// (see [`rtim_stream::persist::segjournal::segment_file_name`]).
-pub const JOURNAL_FILE: &str = LEGACY_JOURNAL_FILE;
-
-/// When the engine thread `fsync`s the active journal segment.
-///
-/// Journal *writes* happen on every batch regardless; the policy only
-/// controls how much a **machine** crash (power loss) can lose.  A process
-/// crash (SIGKILL) loses nothing under any policy — the page cache
-/// survives the process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// Never fsync on the batch path; segments are synced when rotated and
-    /// when a snapshot is dispatched.  Fastest; a machine crash can lose
-    /// every batch since the last rotation/snapshot.
-    #[default]
-    Never,
-    /// fsync after every appended batch: a machine crash loses at most the
-    /// batch being written.  Slowest.
-    EveryBatch,
-    /// fsync once every `n` appended batches (`n` is clamped to ≥ 1): a
-    /// machine crash loses at most `n` batches.
-    EveryNBatches(u64),
-    /// Like [`FsyncPolicy::Never`], but stated explicitly: durability
-    /// points are exactly the snapshot dispatches.
-    OnSnapshot,
-}
-
-/// The durability condition of a running pipeline, surfaced through
-/// [`EngineStats::durability_state`] and [`EngineReport::durability`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DurabilityState {
-    /// No persistence configured; nothing is journaled.
-    Disabled,
-    /// The journal is armed: every ingested batch hits the disk before the
-    /// engine processes it.
-    Durable,
-    /// A journal I/O error suspended journaling.  Ingest continues from
-    /// memory; the engine retries with exponential backoff, and a
-    /// successful re-arm writes a snapshot covering the un-journaled gap
-    /// before the state returns to [`DurabilityState::Durable`].
-    Degraded,
-}
-
-impl DurabilityState {
-    /// The stable wire encoding used by the `STATS` protocol frame.
-    pub fn wire_code(self) -> u64 {
-        match self {
-            DurabilityState::Disabled => 0,
-            DurabilityState::Durable => 1,
-            DurabilityState::Degraded => 2,
-        }
-    }
-
-    /// Decodes [`DurabilityState::wire_code`].
-    pub fn from_wire_code(code: u64) -> Option<DurabilityState> {
-        match code {
-            0 => Some(DurabilityState::Disabled),
-            1 => Some(DurabilityState::Durable),
-            2 => Some(DurabilityState::Degraded),
-            _ => None,
-        }
-    }
-}
-
-/// Durable-state options of an [`EngineHandle`]: where the snapshot and
-/// journal segments live, how often to snapshot, when to fsync, and which
-/// (possibly fault-injected) filesystem to do it all through.
-///
-/// With persistence enabled the engine thread (1) recovers at startup —
-/// latest valid snapshot plus the segmented journal past its watermark,
-/// falling back to full replay if the snapshot is corrupt — and
-/// (2) journals every accepted batch *before* processing it, so the files
-/// always cover the engine state.  Snapshots are encoded and written on a
-/// background writer thread; the journal rotates at each snapshot and
-/// segments older than the latest durable snapshot are deleted.  See
-/// `docs/RECOVERY.md`.
-#[derive(Debug, Clone)]
-pub struct PersistOptions {
-    /// Directory holding [`SNAPSHOT_FILE`] and the journal segments
-    /// (created if absent).
-    pub dir: PathBuf,
-    /// Write a snapshot automatically after this many window slides
-    /// (`0` = only on explicit [`IngestSender::snapshot`] requests).
-    pub snapshot_every_slides: u64,
-    /// Journal fsync cadence.
-    pub fsync: FsyncPolicy,
-    /// Size backstop for journal rotation in bytes (`0` = rotate only when
-    /// snapshots are dispatched).  Keeps single segments bounded when
-    /// snapshots are rare.
-    pub rotate_segment_bytes: u64,
-    /// The filesystem every journal/snapshot operation flows through —
-    /// [`Fs::real`] in production, a fault-injecting handle in tests.
-    pub fs: Fs,
-}
-
-impl PersistOptions {
-    /// Persistence in `dir` with manual-only snapshots and default
-    /// policies.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        PersistOptions {
-            dir: dir.into(),
-            snapshot_every_slides: 0,
-            fsync: FsyncPolicy::default(),
-            rotate_segment_bytes: 0,
-            fs: Fs::real(),
-        }
-    }
-
-    /// Enables background snapshots every `slides` window slides.
-    pub fn with_snapshot_every_slides(mut self, slides: u64) -> Self {
-        self.snapshot_every_slides = slides;
-        self
-    }
-
-    /// Sets the journal fsync cadence.
-    pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
-        self.fsync = fsync;
-        self
-    }
-
-    /// Sets the journal-segment size backstop.
-    pub fn with_rotate_segment_bytes(mut self, bytes: u64) -> Self {
-        self.rotate_segment_bytes = bytes;
-        self
-    }
-
-    /// Routes all durability I/O through `fs` (fault injection).
-    pub fn with_fs(mut self, fs: Fs) -> Self {
-        self.fs = fs;
-        self
-    }
-
-    /// Path of the snapshot file.
-    pub fn snapshot_path(&self) -> PathBuf {
-        self.dir.join(SNAPSHOT_FILE)
-    }
-
-    /// Path of the first (legacy-named) journal segment.  Recovery reads
-    /// every `journal*.rtaj` segment in the directory, not just this one.
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join(JOURNAL_FILE)
-    }
-}
 
 /// Options of an [`EngineHandle`] pipeline.
 #[derive(Debug, Clone)]
@@ -367,44 +219,6 @@ impl std::fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// Result of a successful snapshot request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SnapshotInfo {
-    /// Id of the last action covered by the snapshot (the journal offset
-    /// recovery will replay from).
-    pub watermark: u64,
-    /// Encoded snapshot size in bytes.
-    pub bytes: u64,
-}
-
-/// Why a snapshot request did not produce a snapshot.
-#[derive(Debug)]
-pub enum SnapshotRequestError {
-    /// The pipeline was spawned without [`HandleOptions::persist`].
-    Disabled,
-    /// The engine thread has shut down.
-    Closed,
-    /// Capturing or writing the snapshot failed; the message says why.
-    Failed(String),
-}
-
-impl std::fmt::Display for SnapshotRequestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotRequestError::Disabled => {
-                write!(f, "snapshotting is not configured (no persistence directory)")
-            }
-            SnapshotRequestError::Closed => write!(f, "engine pipeline is shut down"),
-            SnapshotRequestError::Failed(msg) => write!(f, "snapshot failed: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotRequestError {}
-
-/// The answer to a snapshot request.
-type SnapshotResult = Result<SnapshotInfo, SnapshotRequestError>;
-
 /// Why a non-blocking asynchronous request did not enqueue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AsyncRequestError {
@@ -532,7 +346,7 @@ impl std::fmt::Display for HandleClosed {
 impl std::error::Error for HandleClosed {}
 
 /// Where the engine thread sends one request's answer.
-enum Reply<T> {
+pub(crate) enum Reply<T> {
     /// A blocking caller parked on a one-shot channel.
     Channel(mpsc::Sender<T>),
     /// An event-driven caller: the answer goes through the sink, tagged
@@ -542,7 +356,7 @@ enum Reply<T> {
 
 impl<T: Into<CompletionPayload>> Reply<T> {
     /// Delivers the answer.  A requester that went away is ignored.
-    fn send(self, value: T) {
+    pub(crate) fn send(self, value: T) {
         match self {
             Reply::Channel(tx) => drop(tx.send(value)),
             Reply::Sink { token, sink } => sink.complete(token, value.into()),
@@ -556,33 +370,22 @@ impl<T: Into<CompletionPayload>> Reply<T> {
 /// front-end; blocking callers pass the all-zero default, which is never
 /// sampled and costs nothing on the engine thread.
 enum Command {
-    /// An action batch from sender `source`, ids in the sender's space.
-    Ingest {
-        source: u64,
-        actions: Vec<Action>,
-        span: SpanCtx,
-    },
+    /// An action batch from sender `source` (the first field), ids in the
+    /// sender's space.
+    Ingest(u64, Vec<Action>, SpanCtx),
     /// Answer the SIM query for the current window.
-    Query {
-        reply: Reply<Solution>,
-        span: SpanCtx,
-    },
+    Query(Reply<Solution>, SpanCtx),
     /// Report aggregate counters.
-    Stats {
-        reply: Reply<EngineStats>,
-        span: SpanCtx,
-    },
+    Stats(Reply<EngineStats>, SpanCtx),
     /// Write a durable snapshot now (ordered like any other command, so it
     /// covers everything enqueued before it).
-    Snapshot {
-        reply: Reply<SnapshotResult>,
-        span: SpanCtx,
-    },
+    Snapshot(Reply<SnapshotResult>, SpanCtx),
     /// Switch to draining: process what is queued, then exit.
     Shutdown,
 }
 
-/// Shared state between handle, senders and the engine thread.
+/// Shared state between handle, senders and the engine thread: the queue
+/// counters, the metrics registry and the flight recorder (when tracing).
 ///
 /// Queue depth is derived from two **monotone** counters — commands
 /// enqueued (bumped by producers after a successful send) and commands
@@ -591,6 +394,7 @@ enum Command {
 /// only make the derived depth read transiently *low*; it can never wrap
 /// below zero or drift, which keeps the `max_queue_depth ≤ capacity`
 /// invariant exact.
+#[derive(Default)]
 struct Shared {
     /// Commands successfully enqueued, ever.
     enqueued: AtomicU64,
@@ -598,6 +402,8 @@ struct Shared {
     drained: AtomicU64,
     /// Next sender (source) id.
     next_source: AtomicU64,
+    metrics: Arc<EngineMetrics>,
+    recorder: Option<Arc<FlightRecorder>>,
 }
 
 impl Shared {
@@ -608,6 +414,51 @@ impl Shared {
             .load(Ordering::Acquire)
             .saturating_sub(self.drained.load(Ordering::Acquire)) as usize
     }
+
+    /// Engine thread: counts one dequeue and returns the commands still
+    /// waiting behind it (0 = the pipeline kept up).  A producer whose
+    /// `enqueued` bump lags its send can only make this read low, never
+    /// wrap.
+    fn dequeued(&self) -> usize {
+        self.drained.fetch_add(1, Ordering::AcqRel);
+        self.depth()
+    }
+}
+
+/// The producer end of the engine queue, shared by [`EngineHandle`],
+/// [`SenderSpawner`] and every [`IngestSender`]: every enqueue goes
+/// through [`Queue::send`], which keeps the depth counters exact.
+#[derive(Clone)]
+struct Queue {
+    tx: SyncSender<Command>,
+    shared: Arc<Shared>,
+}
+
+impl Queue {
+    /// Enqueues `command`, blocking while the queue is full when `block`
+    /// (a blocking send fails only as `Disconnected`).
+    fn send(&self, command: Command, block: bool) -> Result<(), TrySendError<Command>> {
+        if block {
+            self.tx
+                .send(command)
+                .map_err(|mpsc::SendError(c)| TrySendError::Disconnected(c))?;
+        } else {
+            self.tx.try_send(command)?;
+        }
+        self.shared.enqueued.fetch_add(1, Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// Sends an untraced request and waits for the engine's reply.
+    fn round_trip<T>(
+        &self,
+        request: impl FnOnce(Reply<T>, SpanCtx) -> Command,
+    ) -> Result<T, HandleClosed> {
+        let (reply_tx, reply_rx) = mpsc::channel();
+        self.send(request(Reply::Channel(reply_tx), SpanCtx::default()), true)
+            .map_err(|_| HandleClosed)?;
+        reply_rx.recv().map_err(|_| HandleClosed)
+    }
 }
 
 /// A per-producer ingest endpoint (one private id space each).
@@ -616,8 +467,7 @@ impl Shared {
 /// (connection) gets its own sender so the engine can remap its ids
 /// independently.
 pub struct IngestSender {
-    tx: SyncSender<Command>,
-    shared: Arc<Shared>,
+    queue: Queue,
     source: u64,
     /// Largest id this sender has successfully enqueued.
     last_id: u64,
@@ -626,32 +476,52 @@ pub struct IngestSender {
 impl IngestSender {
     /// Validates the batch against this sender's id space.
     fn validate(&self, actions: &[Action]) -> Result<(), IngestError> {
-        let mut last = self.last_id;
+        let mut last = ActionId(self.last_id);
         for a in actions {
-            if a.id.0 <= last {
+            let id = a.id;
+            if id <= last {
                 return Err(IngestError::Invalid(format!(
-                    "action ids must be strictly increasing per sender: {} after {}",
-                    a.id, ActionId(last)
+                    "action ids must be strictly increasing per sender: {id} after {last}"
                 )));
             }
-            if let Some(p) = a.parent {
-                if p >= a.id {
-                    return Err(IngestError::Invalid(format!(
-                        "action {} replies to a non-earlier action {}",
-                        a.id, p
-                    )));
-                }
+            if let Some(p) = a.parent.filter(|&p| p >= id) {
+                let msg = format!("action {id} replies to a non-earlier action {p}");
+                return Err(IngestError::Invalid(msg));
             }
-            last = a.id.0;
+            last = id;
         }
         Ok(())
+    }
+
+    /// Validates, enqueues (blocking while full when `block`) and commits
+    /// a batch.  An empty batch is a no-op.
+    fn enqueue(
+        &mut self,
+        actions: Vec<Action>,
+        span: SpanCtx,
+        block: bool,
+    ) -> Result<(), IngestError> {
+        let Some(last) = actions.last().map(|a| a.id.0) else {
+            return Ok(());
+        };
+        self.validate(&actions)?;
+        let command = Command::Ingest(self.source, actions, span);
+        match self.queue.send(command, block) {
+            Ok(()) => {
+                self.last_id = last;
+                Ok(())
+            }
+            Err(TrySendError::Full(Command::Ingest(_, batch, _))) => Err(IngestError::Full(batch)),
+            Err(TrySendError::Full(_)) => unreachable!("ingest command round-trips"),
+            Err(TrySendError::Disconnected(_)) => Err(IngestError::Closed),
+        }
     }
 
     /// Enqueues a batch without blocking.  On a full queue the batch is
     /// handed back in [`IngestError::Full`] so the caller can retry or
     /// signal backpressure.  An empty batch is a no-op.
     pub fn try_ingest(&mut self, actions: Vec<Action>) -> Result<(), IngestError> {
-        self.try_ingest_traced(actions, SpanCtx::default())
+        self.enqueue(actions, SpanCtx::default(), false)
     }
 
     /// [`IngestSender::try_ingest`] with a trace span context: the
@@ -662,32 +532,12 @@ impl IngestSender {
         actions: Vec<Action>,
         span: SpanCtx,
     ) -> Result<(), IngestError> {
-        if actions.is_empty() {
-            return Ok(());
-        }
-        self.validate(&actions)?;
-        let last = actions.last().expect("non-empty batch").id.0;
-        match self.tx.try_send(Command::Ingest {
-            source: self.source,
-            actions,
-            span,
-        }) {
-            Ok(()) => {
-                self.shared.enqueued.fetch_add(1, Ordering::AcqRel);
-                self.last_id = last;
-                Ok(())
-            }
-            Err(TrySendError::Full(Command::Ingest { actions, .. })) => {
-                Err(IngestError::Full(actions))
-            }
-            Err(TrySendError::Full(_)) => unreachable!("ingest command round-trips"),
-            Err(TrySendError::Disconnected(_)) => Err(IngestError::Closed),
-        }
+        self.enqueue(actions, span, false)
     }
 
     /// Enqueues a batch, blocking while the queue is full.
     pub fn ingest(&mut self, actions: Vec<Action>) -> Result<(), IngestError> {
-        self.ingest_traced(actions, SpanCtx::default())
+        self.enqueue(actions, SpanCtx::default(), true)
     }
 
     /// [`IngestSender::ingest`] with a trace span context (see
@@ -697,48 +547,25 @@ impl IngestSender {
         actions: Vec<Action>,
         span: SpanCtx,
     ) -> Result<(), IngestError> {
-        if actions.is_empty() {
-            return Ok(());
-        }
-        self.validate(&actions)?;
-        let last = actions.last().expect("non-empty batch").id.0;
-        self.tx
-            .send(Command::Ingest {
-                source: self.source,
-                actions,
-                span,
-            })
-            .map_err(|_| IngestError::Closed)?;
-        self.shared.enqueued.fetch_add(1, Ordering::AcqRel);
-        self.last_id = last;
-        Ok(())
+        self.enqueue(actions, span, true)
     }
 
     /// Answers the SIM query (ordered after everything this sender already
     /// enqueued; blocks while the queue is full).
     pub fn query(&self) -> Result<Solution, HandleClosed> {
-        round_trip(&self.tx, &self.shared, |reply| Command::Query {
-            reply,
-            span: SpanCtx::default(),
-        })
+        self.queue.round_trip(Command::Query)
     }
 
     /// Reports aggregate pipeline counters.
     pub fn stats(&self) -> Result<EngineStats, HandleClosed> {
-        round_trip(&self.tx, &self.shared, |reply| Command::Stats {
-            reply,
-            span: SpanCtx::default(),
-        })
+        self.queue.round_trip(Command::Stats)
     }
 
     /// Requests a durable snapshot covering everything this sender already
     /// enqueued (ordered through the same queue; blocks while it is full).
     pub fn snapshot(&self) -> Result<SnapshotInfo, SnapshotRequestError> {
-        round_trip(&self.tx, &self.shared, |reply| Command::Snapshot {
-            reply,
-            span: SpanCtx::default(),
-        })
-        .map_err(|HandleClosed| SnapshotRequestError::Closed)?
+        let closed = Err(SnapshotRequestError::Closed);
+        self.queue.round_trip(Command::Snapshot).unwrap_or(closed)
     }
 
     /// Enqueues `request` without blocking; the answer arrives on `sink`
@@ -754,32 +581,19 @@ impl IngestSender {
     ) -> Result<(), AsyncRequestError> {
         let sink = sink.clone();
         let command = match request {
-            Request::Query => Command::Query {
-                reply: Reply::Sink { token, sink },
-                span,
-            },
-            Request::Stats => Command::Stats {
-                reply: Reply::Sink { token, sink },
-                span,
-            },
-            Request::Snapshot => Command::Snapshot {
-                reply: Reply::Sink { token, sink },
-                span,
-            },
+            Request::Query => Command::Query(Reply::Sink { token, sink }, span),
+            Request::Stats => Command::Stats(Reply::Sink { token, sink }, span),
+            Request::Snapshot => Command::Snapshot(Reply::Sink { token, sink }, span),
         };
-        match self.tx.try_send(command) {
-            Ok(()) => {
-                self.shared.enqueued.fetch_add(1, Ordering::AcqRel);
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => Err(AsyncRequestError::Full),
-            Err(TrySendError::Disconnected(_)) => Err(AsyncRequestError::Closed),
-        }
+        self.queue.send(command, false).map_err(|e| match e {
+            TrySendError::Full(_) => AsyncRequestError::Full,
+            TrySendError::Disconnected(_) => AsyncRequestError::Closed,
+        })
     }
 
     /// Commands waiting in the queue right now (approximate).
     pub fn queue_depth(&self) -> usize {
-        self.shared.depth()
+        self.queue.shared.depth()
     }
 
     /// Largest action id this sender has successfully enqueued (0 = none).
@@ -793,17 +607,15 @@ impl IngestSender {
 /// needs a fresh sender — a fresh private id space — per connection).
 #[derive(Clone)]
 pub struct SenderSpawner {
-    tx: SyncSender<Command>,
-    shared: Arc<Shared>,
+    queue: Queue,
 }
 
 impl SenderSpawner {
     /// Creates a new producer endpoint with its own private id space.
     pub fn sender(&self) -> IngestSender {
         IngestSender {
-            tx: self.tx.clone(),
-            shared: Arc::clone(&self.shared),
-            source: self.shared.next_source.fetch_add(1, Ordering::AcqRel),
+            queue: self.queue.clone(),
+            source: self.queue.shared.next_source.fetch_add(1, Ordering::AcqRel),
             last_id: 0,
         }
     }
@@ -813,18 +625,6 @@ impl std::fmt::Debug for SenderSpawner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SenderSpawner").finish()
     }
-}
-
-/// Sends a request command and waits for the engine's reply.
-fn round_trip<T>(
-    tx: &SyncSender<Command>,
-    shared: &Shared,
-    make: impl FnOnce(Reply<T>) -> Command,
-) -> Result<T, HandleClosed> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    tx.send(make(Reply::Channel(reply_tx))).map_err(|_| HandleClosed)?;
-    shared.enqueued.fetch_add(1, Ordering::AcqRel);
-    reply_rx.recv().map_err(|_| HandleClosed)
 }
 
 /// A [`SimEngine`] running on its own thread behind a bounded ingest queue.
@@ -852,12 +652,9 @@ fn round_trip<T>(
 /// assert_eq!(report.stats.actions, 2);
 /// ```
 pub struct EngineHandle {
-    tx: Option<SyncSender<Command>>,
-    shared: Arc<Shared>,
+    queue: Queue,
     thread: Option<JoinHandle<EngineReport>>,
     capacity: usize,
-    metrics: Arc<EngineMetrics>,
-    recorder: Option<Arc<FlightRecorder>>,
 }
 
 impl EngineHandle {
@@ -865,43 +662,25 @@ impl EngineHandle {
     pub fn spawn(config: SimConfig, kind: FrameworkKind, options: HandleOptions) -> Self {
         let capacity = options.capacity.max(1);
         let (tx, rx) = mpsc::sync_channel(capacity);
-        let shared = Arc::new(Shared {
-            enqueued: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-            next_source: AtomicU64::new(0),
-        });
-        let metrics = Arc::new(EngineMetrics::new());
         // With tracing disabled (by config or by compiling out the `trace`
-        // feature) no recorder exists and every instrumentation site below
-        // stays on its `None` arm — the zero-allocation no-op path.
-        let recorder = options
-            .trace
-            .is_enabled()
-            .then(|| FlightRecorder::new(options.trace));
-        let thread_shared = Arc::clone(&shared);
-        let thread_metrics = Arc::clone(&metrics);
-        let thread_recorder = recorder.clone();
+        // feature) no recorder exists and every instrumentation site in
+        // the engine loop stays on its `None` arm — the zero-allocation
+        // no-op path.
+        let trace = options.trace;
+        let recorder = trace.is_enabled().then(|| FlightRecorder::new(trace));
+        let shared = Arc::new(Shared {
+            recorder,
+            ..Shared::default()
+        });
+        let engine_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("rtim-engine".into())
-            .spawn(move || {
-                engine_loop(
-                    config,
-                    kind,
-                    options,
-                    rx,
-                    thread_shared,
-                    thread_metrics,
-                    thread_recorder,
-                )
-            })
+            .spawn(move || engine_loop(config, kind, options, rx, engine_shared))
             .expect("spawn engine thread");
         EngineHandle {
-            tx: Some(tx),
-            shared,
+            queue: Queue { tx, shared },
             thread: Some(thread),
             capacity,
-            metrics,
-            recorder,
         }
     }
 
@@ -910,7 +689,7 @@ impl EngineHandle {
     /// serve `/metrics`) never enqueues an engine command, so scrapes
     /// cannot perturb the arrival order.
     pub fn metrics(&self) -> Arc<EngineMetrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.queue.shared.metrics)
     }
 
     /// The pipeline's flight recorder, when tracing is enabled.  Dumping
@@ -918,7 +697,7 @@ impl EngineHandle {
     /// never enqueues an engine command — the same scrape-determinism
     /// argument as [`EngineHandle::metrics`].
     pub fn trace_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.recorder.clone()
+        self.queue.shared.recorder.clone()
     }
 
     /// Creates a new producer endpoint with its own private id space.
@@ -929,8 +708,7 @@ impl EngineHandle {
     /// A cloneable factory that can mint senders on other threads.
     pub fn sender_spawner(&self) -> SenderSpawner {
         SenderSpawner {
-            tx: self.tx.clone().expect("handle not shut down"),
-            shared: Arc::clone(&self.shared),
+            queue: self.queue.clone(),
         }
     }
 
@@ -941,35 +719,23 @@ impl EngineHandle {
 
     /// Commands waiting in the queue right now (approximate).
     pub fn queue_depth(&self) -> usize {
-        self.shared.depth()
+        self.queue.shared.depth()
     }
 
     /// Answers the SIM query for the current window.
     pub fn query(&self) -> Result<Solution, HandleClosed> {
-        let tx = self.tx.as_ref().expect("handle not shut down");
-        round_trip(tx, &self.shared, |reply| Command::Query {
-            reply,
-            span: SpanCtx::default(),
-        })
+        self.queue.round_trip(Command::Query)
     }
 
     /// Reports aggregate pipeline counters.
     pub fn stats(&self) -> Result<EngineStats, HandleClosed> {
-        let tx = self.tx.as_ref().expect("handle not shut down");
-        round_trip(tx, &self.shared, |reply| Command::Stats {
-            reply,
-            span: SpanCtx::default(),
-        })
+        self.queue.round_trip(Command::Stats)
     }
 
     /// Requests a durable snapshot of the current engine state.
     pub fn snapshot(&self) -> Result<SnapshotInfo, SnapshotRequestError> {
-        let tx = self.tx.as_ref().expect("handle not shut down");
-        round_trip(tx, &self.shared, |reply| Command::Snapshot {
-            reply,
-            span: SpanCtx::default(),
-        })
-        .map_err(|HandleClosed| SnapshotRequestError::Closed)?
+        let closed = Err(SnapshotRequestError::Closed);
+        self.queue.round_trip(Command::Snapshot).unwrap_or(closed)
     }
 
     /// Initiates a drain and waits for the engine thread to finish.
@@ -979,20 +745,13 @@ impl EngineHandle {
     /// caught up), then exits; later sends fail with
     /// [`IngestError::Closed`] / [`HandleClosed`].
     pub fn shutdown(mut self) -> EngineReport {
-        self.shutdown_inner()
-            .expect("engine thread already joined")
+        self.shutdown_inner().expect("engine thread already joined")
     }
 
     fn shutdown_inner(&mut self) -> Option<EngineReport> {
-        if let Some(tx) = self.tx.take() {
-            if tx.send(Command::Shutdown).is_ok() {
-                self.shared.enqueued.fetch_add(1, Ordering::AcqRel);
-            }
-            drop(tx);
-        }
-        self.thread
-            .take()
-            .map(|t| t.join().expect("engine thread panicked"))
+        let thread = self.thread.take()?;
+        let _ = self.queue.send(Command::Shutdown, true);
+        Some(thread.join().expect("engine thread panicked"))
     }
 }
 
@@ -1013,485 +772,53 @@ impl std::fmt::Debug for EngineHandle {
     }
 }
 
-/// Per-sender rebasing state held by the engine thread.
-#[derive(Default)]
-struct SourceState {
-    /// sender-space id → assigned global id.
-    remap: FxHashMap<u64, u64>,
+/// Per-sender id rebasing, held by the engine thread (see the module
+/// docs).
+struct Rebaser {
+    /// The next global id to assign.
+    next_id: u64,
+    /// Per sender: sender-space id → assigned global id.
+    sources: FxHashMap<u64, FxHashMap<u64, u64>>,
+    /// [`HandleOptions::remap_horizon`].
+    horizon: Option<u64>,
+    /// `next_id` at the last prune sweep.
+    last_prune: u64,
 }
 
-/// Failed re-arm retries double their batch-count backoff up to this cap.
-const REARM_BACKOFF_CAP: u64 = 1024;
-
-/// One snapshot handed to the writer thread.  The state was *captured* on
-/// the engine thread (preserving the one-writer invariant and the
-/// command-order guarantee); encoding and file I/O happen off-thread so
-/// slides never stall behind the disk.
-struct SnapshotJob {
-    snapshot: EngineSnapshot,
-    path: PathBuf,
-    fs: Fs,
-    /// `None` for a slide-cadence background snapshot (nobody to answer).
-    reply: Option<Reply<SnapshotResult>>,
-}
-
-/// The writer thread's completion report, drained by the engine thread
-/// (which compacts the journal behind a successful watermark).
-struct SnapshotDone {
-    watermark: u64,
-    slides: u64,
-    result: Result<u64, String>,
-}
-
-/// The background snapshot writer thread: encodes and atomically writes
-/// each captured snapshot, answers the requester directly, and reports
-/// back to the engine thread.  Exits when the job channel closes at
-/// shutdown (after finishing every queued job).
-fn snapshot_writer_loop(jobs: Receiver<SnapshotJob>, done: mpsc::Sender<SnapshotDone>) {
-    while let Ok(job) = jobs.recv() {
-        let watermark = job.snapshot.watermark;
-        let slides = job.snapshot.slides;
-        let bytes = job.snapshot.encode();
-        let result = write_snapshot_bytes_atomic(&job.path, &bytes, &job.fs)
-            .map_err(|e| e.to_string());
-        let info = result
-            .as_ref()
-            .map(|&bytes| SnapshotInfo { watermark, bytes })
-            .map_err(|e| SnapshotRequestError::Failed(e.clone()));
-        if let Some(reply) = job.reply {
-            reply.send(info);
-        }
-        let _ = done.send(SnapshotDone {
-            watermark,
-            slides,
-            result,
-        });
-    }
-}
-
-/// The engine thread's journal state machine (see `docs/RECOVERY.md`):
-/// `Durable` appends every batch before it is ingested; any journal I/O
-/// error drops to `Degraded`, which keeps serving from memory and retries
-/// a full re-arm — fresh segment plus a snapshot covering the un-journaled
-/// gap — with exponential batch-count backoff.
-enum Durability {
-    /// No persistence configured.
-    Disabled,
-    /// Journal armed.
-    Durable(SegmentedJournal),
-    /// Journaling suspended after an I/O error.
-    Degraded {
-        /// The first error of this degraded period.
-        cause: String,
-        /// Batches ingested without journal coverage since the degrade.
-        lost_batches: u64,
-        /// Current backoff width in batches.
-        backoff: u64,
-        /// Batches left before the next re-arm attempt.
-        until_retry: u64,
-        /// Sequence number the re-armed fresh segment will use.
-        next_seq: u64,
-        /// Pre-degrade segments still on disk: compaction candidates once
-        /// a post-re-arm snapshot covers them.
-        stale: Vec<CompletedSegment>,
-    },
-}
-
-impl Durability {
-    fn state(&self) -> DurabilityState {
-        match self {
-            Durability::Disabled => DurabilityState::Disabled,
-            Durability::Durable(_) => DurabilityState::Durable,
-            Durability::Degraded { .. } => DurabilityState::Degraded,
-        }
-    }
-
-    fn lag_batches(&self) -> u64 {
-        match self {
-            Durability::Disabled => 0,
-            Durability::Durable(journal) => journal.unsynced_batches(),
-            Durability::Degraded { lost_batches, .. } => *lost_batches,
-        }
-    }
-
-    /// Demotes a failed journal to `Degraded`, keeping every on-disk
-    /// segment tracked for compaction after a later covering snapshot.
-    fn degrade(journal: SegmentedJournal, lost: u64, what: &str, e: &io::Error) -> Durability {
-        eprintln!("rtim-engine: {what} failed ({e}); journaling degraded, will re-arm");
-        let cause = format!("{what}: {e}");
-        let (next_seq, stale) = journal.decommission();
-        Durability::Degraded {
-            cause,
-            lost_batches: lost,
-            backoff: 1,
-            until_retry: 1,
-            next_seq,
-            stale,
-        }
-    }
-}
-
-/// Everything durable owned by the engine thread: the journal state
-/// machine, the background snapshot writer, and snapshot-cadence
-/// bookkeeping.
-struct Persistence {
-    opts: PersistOptions,
-    durability: Durability,
-    job_tx: Option<mpsc::Sender<SnapshotJob>>,
-    done_rx: Receiver<SnapshotDone>,
-    writer: Option<JoinHandle<()>>,
-    /// A dispatched snapshot has not completed yet.  Gates *background*
-    /// triggers only; explicit requests always enqueue (the writer
-    /// serializes them).
-    snapshot_in_flight: bool,
-    /// Engine slide count at the last successful snapshot write.
-    last_snapshot_slides: u64,
-    /// Slide count at which the next background snapshot dispatches.
-    next_background_at: u64,
-}
-
-impl Persistence {
-    /// Recovers the durable state and arms the machinery: runs the
-    /// recovery decision tree over the persistence directory, orphans
-    /// unreachable journal files, resumes the newest segment, and spawns
-    /// the snapshot writer thread.  Every disk failure degrades (typed,
-    /// retried with backoff) instead of dying or silently going
-    /// non-durable.
-    fn open(
-        config: SimConfig,
-        kind: FrameworkKind,
-        opts: PersistOptions,
-    ) -> (SimEngine, u64, Persistence) {
-        let (job_tx, job_rx) = mpsc::channel();
-        let (done_tx, done_rx) = mpsc::channel();
-        let writer = std::thread::Builder::new()
-            .name("rtim-snapwriter".into())
-            .spawn(move || snapshot_writer_loop(job_rx, done_tx))
-            .expect("spawn snapshot writer thread");
-        let mut persistence = Persistence {
-            opts,
-            durability: Durability::Disabled,
-            job_tx: Some(job_tx),
-            done_rx,
-            writer: Some(writer),
-            snapshot_in_flight: false,
-            last_snapshot_slides: 0,
-            next_background_at: 0,
-        };
-        let opts = &persistence.opts;
-        if let Err(e) = opts.fs.create_dir_all(&opts.dir) {
-            eprintln!(
-                "rtim-engine: cannot create persistence directory {}: {e}; \
-                 degraded (will retry)",
-                opts.dir.display()
-            );
-            persistence.durability = Durability::Degraded {
-                cause: format!("create persistence directory: {e}"),
-                lost_batches: 0,
-                backoff: 1,
-                until_retry: 1,
-                next_seq: 1,
-                stale: Vec::new(),
-            };
-            return (SimEngine::new(config, kind), 0, persistence);
-        }
-        let outcome = recover_engine_with(config, kind, &opts.dir, &opts.fs);
-        for note in &outcome.notes {
-            eprintln!("rtim-engine recovery: {note}");
-        }
-        persistence.durability = match SegmentedJournal::open(
-            &opts.dir,
-            &opts.fs,
-            opts.rotate_segment_bytes,
-            &outcome.journal_resume,
-        ) {
-            Ok(journal) => Durability::Durable(journal),
-            Err(e) => {
-                eprintln!(
-                    "rtim-engine: cannot arm the journal in {}: {e}; degraded (will retry)",
-                    opts.dir.display()
-                );
-                Durability::Degraded {
-                    cause: format!("arm journal: {e}"),
-                    lost_batches: 0,
-                    backoff: 1,
-                    until_retry: 1,
-                    next_seq: outcome.journal_resume.next_seq,
-                    stale: outcome.journal_resume.completed.clone(),
-                }
+impl Rebaser {
+    /// Rebases one batch of sender `source` onto the global arrival order,
+    /// counting replies to unknown parents (degraded to roots) in
+    /// `orphaned`.
+    fn rebase(&mut self, source: u64, actions: &[Action], orphaned: &mut u64) -> Vec<Action> {
+        let remap = self.sources.entry(source).or_default();
+        let mut rebased = Vec::with_capacity(actions.len());
+        for a in actions {
+            let assigned = self.next_id;
+            self.next_id += 1;
+            let parent = a.parent.and_then(|p| remap.get(&p.0).copied());
+            if a.parent.is_some() && parent.is_none() {
+                *orphaned += 1;
             }
-        };
-        persistence.last_snapshot_slides = outcome.snapshot_slides;
-        (outcome.engine, outcome.watermark, persistence)
-    }
-
-    /// Journals one rebased batch ahead of ingestion, driving the
-    /// durability state machine.  Returns `true` when a degraded-mode
-    /// re-arm just succeeded — the caller must publish the covering
-    /// snapshot ([`Persistence::finish_rearm`]) right after ingesting this
-    /// batch.
-    fn journal_before_ingest(&mut self, batch: &[Action]) -> bool {
-        let fsync = self.opts.fsync;
-        let current = std::mem::replace(&mut self.durability, Durability::Disabled);
-        let (next, rearmed) = match current {
-            Durability::Disabled => (Durability::Disabled, false),
-            Durability::Durable(mut journal) => {
-                let result = journal.append_batch(batch).and_then(|()| {
-                    let due = match fsync {
-                        FsyncPolicy::EveryBatch => true,
-                        FsyncPolicy::EveryNBatches(n) => journal.unsynced_batches() >= n.max(1),
-                        FsyncPolicy::Never | FsyncPolicy::OnSnapshot => false,
-                    };
-                    if due {
-                        journal.sync()
-                    } else {
-                        Ok(())
-                    }
-                });
-                match result {
-                    Ok(()) => (Durability::Durable(journal), false),
-                    // The batch's durability is unknown at best: count it
-                    // lost, so the re-arm snapshot is required to cover it.
-                    Err(e) => (Durability::degrade(journal, 1, "journal append", &e), false),
-                }
-            }
-            Durability::Degraded {
-                cause,
-                lost_batches,
-                backoff,
-                until_retry,
-                next_seq,
-                stale,
-            } => {
-                if until_retry > 1 {
-                    let next = Durability::Degraded {
-                        cause,
-                        lost_batches: lost_batches + 1,
-                        backoff,
-                        until_retry: until_retry - 1,
-                        next_seq,
-                        stale,
-                    };
-                    (next, false)
-                } else {
-                    match self.try_rearm(batch, next_seq, stale.clone()) {
-                        Ok(journal) => {
-                            eprintln!(
-                                "rtim-engine: journal re-armed on segment {next_seq} after \
-                                 {lost_batches} un-journaled batches; writing the covering \
-                                 snapshot"
-                            );
-                            (Durability::Durable(journal), true)
-                        }
-                        Err(e) => {
-                            let widened = (backoff * 2).min(REARM_BACKOFF_CAP);
-                            eprintln!(
-                                "rtim-engine: journal re-arm failed ({e}); \
-                                 retrying in {widened} batches"
-                            );
-                            let next = Durability::Degraded {
-                                cause,
-                                lost_batches: lost_batches + 1,
-                                backoff: widened,
-                                until_retry: widened,
-                                next_seq,
-                                stale,
-                            };
-                            (next, false)
-                        }
-                    }
-                }
-            }
-        };
-        self.durability = next;
-        rearmed
-    }
-
-    /// One re-arm attempt: (re)create the persistence directory, open a
-    /// fresh segment at `seq`, append and fsync the current batch.  The
-    /// same `seq` is reused across failed attempts — recreating truncates
-    /// a torn previous attempt, so no two segments ever hold overlapping
-    /// ids.
-    fn try_rearm(
-        &self,
-        batch: &[Action],
-        seq: u64,
-        stale: Vec<CompletedSegment>,
-    ) -> io::Result<SegmentedJournal> {
-        self.opts.fs.create_dir_all(&self.opts.dir)?;
-        let result = SegmentedJournal::rearm(
-            &self.opts.dir,
-            &self.opts.fs,
-            self.opts.rotate_segment_bytes,
-            seq,
-            stale,
-            0,
-        )
-        .and_then(|mut journal| {
-            journal.append_batch(batch)?;
-            journal.sync()?;
-            Ok(journal)
-        });
-        if result.is_err() {
-            // Best effort: a torn half-armed segment must not linger.
-            let _ = self
-                .opts
-                .fs
-                .remove_file(&self.opts.dir.join(segment_file_name(seq)));
-        }
-        result
-    }
-
-    /// Completes a re-arm: writes a snapshot covering everything ingested
-    /// so far — including every batch the degraded period never journaled
-    /// — *synchronously* on the engine thread.  Re-arming must prove its
-    /// covering snapshot before the pipeline claims durability again; a
-    /// failure here drops straight back to degraded (doubled backoff
-    /// happens at the next failed re-arm, not here — the journal side
-    /// already worked).
-    fn finish_rearm(&mut self, engine: &SimEngine) {
-        let written = engine
-            .snapshot()
-            .map_err(|e| io::Error::other(e.to_string()))
-            .and_then(|snap| {
-                write_snapshot_atomic_with(&self.opts.snapshot_path(), &snap, &self.opts.fs)
-                    .map(|_| (snap.watermark, snap.slides))
+            remap.insert(a.id.0, assigned);
+            rebased.push(Action {
+                id: ActionId(assigned),
+                user: a.user,
+                parent: parent.map(ActionId),
             });
-        match written {
-            Ok((watermark, slides)) => {
-                self.last_snapshot_slides = slides;
-                if let Durability::Durable(journal) = &mut self.durability {
-                    if let Err(e) = journal.compact(watermark) {
-                        eprintln!(
-                            "rtim-engine: post-re-arm compaction failed ({e}); \
-                             covered segments will be retried"
-                        );
-                    }
-                }
-                eprintln!(
-                    "rtim-engine: durability restored (covering snapshot at watermark \
-                     {watermark})"
-                );
-            }
-            Err(e) => {
-                let current = std::mem::replace(&mut self.durability, Durability::Disabled);
-                self.durability = match current {
-                    Durability::Durable(journal) => {
-                        Durability::degrade(journal, 0, "re-arm covering snapshot", &e)
-                    }
-                    other => other,
-                };
+        }
+        if let Some(h) = self.horizon {
+            // Amortized prune, mirroring PropagationIndex: sweep only once
+            // the assigned range doubles the horizon.
+            if self.next_id - self.last_prune > 2 * h {
+                let cutoff = self.next_id.saturating_sub(h);
+                self.sources.retain(|_, remap| {
+                    remap.retain(|_, &mut assigned| assigned >= cutoff);
+                    !remap.is_empty()
+                });
+                self.last_prune = self.next_id;
             }
         }
-    }
-
-    /// Captures the engine state and hands it to the snapshot writer
-    /// thread.  The journal rotates first (rotation seals and fsyncs the
-    /// active segment), so the snapshot's watermark lands on a segment
-    /// boundary and completion can compact whole segments — and the
-    /// journal is never less durable than the snapshot that watermarks it.
-    fn dispatch_snapshot(&mut self, engine: &SimEngine, reply: Option<Reply<SnapshotResult>>) {
-        let current = std::mem::replace(&mut self.durability, Durability::Disabled);
-        self.durability = match current {
-            Durability::Durable(mut journal) => match journal.rotate() {
-                Ok(()) => Durability::Durable(journal),
-                Err(e) => Durability::degrade(journal, 0, "journal rotation", &e),
-            },
-            other => other,
-        };
-        self.next_background_at =
-            engine.slides_processed() + self.opts.snapshot_every_slides;
-        let snapshot = match engine.snapshot() {
-            Ok(snapshot) => snapshot,
-            Err(e) => {
-                match reply {
-                    Some(reply) => reply.send(Err(SnapshotRequestError::Failed(e.to_string()))),
-                    None => eprintln!("rtim-engine: background snapshot capture failed: {e}"),
-                }
-                return;
-            }
-        };
-        let job = SnapshotJob {
-            snapshot,
-            path: self.opts.snapshot_path(),
-            fs: self.opts.fs.clone(),
-            reply,
-        };
-        let tx = self.job_tx.as_ref().expect("snapshot writer armed");
-        match tx.send(job) {
-            Ok(()) => self.snapshot_in_flight = true,
-            Err(mpsc::SendError(job)) => {
-                // The writer thread is gone (it panicked); answer the
-                // requester rather than hanging it.
-                if let Some(reply) = job.reply {
-                    let gone = "snapshot writer thread is gone".to_string();
-                    reply.send(Err(SnapshotRequestError::Failed(gone)));
-                }
-            }
-        }
-    }
-
-    /// Dispatches a slide-cadence background snapshot when due.  At most
-    /// one snapshot is in flight; a trigger that lands while one is being
-    /// written waits for the first slide that finds the writer idle.
-    fn maybe_background_snapshot(&mut self, engine: &SimEngine) {
-        if self.opts.snapshot_every_slides == 0
-            || self.snapshot_in_flight
-            || engine.slides_processed() < self.next_background_at
-        {
-            return;
-        }
-        self.dispatch_snapshot(engine, None);
-    }
-
-    /// Absorbs writer-thread completions: a success records the snapshot
-    /// cadence and compacts the journal behind the new watermark; a
-    /// failure is logged and the next trigger retries.
-    fn drain_completions(&mut self) {
-        while let Ok(done) = self.done_rx.try_recv() {
-            self.snapshot_in_flight = false;
-            match done.result {
-                Ok(_) => {
-                    self.last_snapshot_slides = self.last_snapshot_slides.max(done.slides);
-                    if let Durability::Durable(journal) = &mut self.durability {
-                        if let Err(e) = journal.compact(done.watermark) {
-                            eprintln!(
-                                "rtim-engine: journal compaction failed ({e}); \
-                                 covered segments will be retried"
-                            );
-                        }
-                    }
-                }
-                Err(e) => eprintln!("rtim-engine: background snapshot write failed: {e}"),
-            }
-        }
-    }
-
-    /// Point-in-time durability fields of a stats answer (`stats.slides`
-    /// must already be current).
-    fn fill_stats(&self, stats: &mut EngineStats) {
-        stats.journal_lag_batches = self.durability.lag_batches();
-        stats.snapshot_age_slides = stats.slides.saturating_sub(self.last_snapshot_slides);
-        stats.durability_state = self.durability.state().wire_code();
-    }
-
-    /// Drain-complete teardown: final journal fsync, then close the job
-    /// channel, join the writer thread (it finishes every queued job
-    /// first) and absorb the remaining completions.
-    fn shutdown(&mut self) {
-        let current = std::mem::replace(&mut self.durability, Durability::Disabled);
-        self.durability = match current {
-            Durability::Durable(mut journal) => match journal.sync() {
-                Ok(()) => Durability::Durable(journal),
-                Err(e) => Durability::degrade(journal, 0, "final journal sync", &e),
-            },
-            other => other,
-        };
-        drop(self.job_tx.take());
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
-        self.drain_completions();
+        rebased
     }
 }
 
@@ -1503,34 +830,29 @@ fn engine_loop(
     options: HandleOptions,
     rx: Receiver<Command>,
     shared: Arc<Shared>,
-    metrics: Arc<EngineMetrics>,
-    recorder: Option<Arc<FlightRecorder>>,
 ) -> EngineReport {
-    let mut stats = EngineStats::default();
-    let (mut engine, watermark, mut persistence) = match options.persist.clone() {
-        Some(persist) => {
-            let (engine, watermark, p) = Persistence::open(config, kind, persist);
-            (engine, watermark, Some(p))
-        }
-        None => (SimEngine::new(config, kind), 0, None),
-    };
+    let (metrics, recorder) = (&shared.metrics, &shared.recorder);
+    let persistent = options.persist.is_some();
+    let (mut engine, watermark, mut persistence) =
+        Persistence::open(config, kind, options.persist.clone());
     // Continuity after recovery: global ids continue past the journal,
     // actions/slides count everything the engine state covers (batches
     // count from this process start).
-    let mut next_id: u64 = watermark + 1;
-    stats.actions = watermark;
-    stats.slides = engine.slides_processed();
-    if let Some(p) = &mut persistence {
-        p.next_background_at = stats.slides + p.opts.snapshot_every_slides;
-    }
-
-    let mut sources: FxHashMap<u64, SourceState> = FxHashMap::default();
-    let mut last_prune: u64 = 0;
+    let mut stats = EngineStats {
+        actions: watermark,
+        slides: engine.slides_processed(),
+        ..EngineStats::default()
+    };
+    let mut rebaser = Rebaser {
+        next_id: watermark + 1,
+        sources: FxHashMap::default(),
+        horizon: options.remap_horizon,
+        last_prune: 0,
+    };
     let mut journal: Vec<Action> = Vec::new();
-    let mut recent: std::collections::VecDeque<SlideReport> =
-        std::collections::VecDeque::with_capacity(RECENT_SLIDES);
+    let mut recent: VecDeque<SlideReport> = VecDeque::with_capacity(RECENT_SLIDES);
     let mut draining = false;
-    let mut drained: u64 = 0;
+    let clock = recorder.as_ref().map_or_else(Clock::start, |r| r.clock());
     // The engine thread's single ring lane; `None` folds every
     // instrumentation site below to nothing (tracing disabled).
     let mut tracer: Option<TraceWriter> = recorder.as_ref().map(|r| r.writer());
@@ -1538,102 +860,27 @@ fn engine_loop(
     // cumulative counter across batches.
     let mut seen_migrations: u64 = engine.pool_stats().migrations;
 
-    loop {
-        let command = if draining {
-            match rx.try_recv() {
-                Ok(c) => c,
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
-        } else {
-            match rx.recv() {
-                Ok(c) => c,
-                Err(_) => break, // every sender and the handle are gone
-            }
-        };
-        // Commands still waiting after this dequeue: 0 means the pipeline
-        // kept up.  `drained` is engine-local truth published for readers;
-        // a producer whose `enqueued` bump lags its send can only make
-        // this read low, never wrap (see `Shared`).
-        drained += 1;
-        shared.drained.store(drained, Ordering::Release);
-        let observed = shared
-            .enqueued
-            .load(Ordering::Acquire)
-            .saturating_sub(drained) as usize;
-        // `max` of two in-range u64s cannot overflow (audited alongside
-        // the saturating nanos sums): the fold only ever widens to the
-        // largest observed depth, which is bounded by the queue capacity.
+    // A drain ends at the first empty poll; `recv` fails only once every
+    // sender and the handle are gone.
+    while let Some(command) = if draining {
+        rx.try_recv().ok()
+    } else {
+        rx.recv().ok()
+    } {
+        let observed = shared.dequeued();
         stats.max_queue_depth = stats.max_queue_depth.max(observed as u64);
-
-        // Completions from the snapshot writer arrive between commands;
-        // absorbing them here keeps compaction on the engine thread (the
-        // journal has exactly one owner).
-        if let Some(p) = &mut persistence {
-            p.drain_completions();
-        }
+        persistence.drain_completions();
+        let t_dequeue = clock.now_nanos();
 
         match command {
-            Command::Ingest {
-                source,
-                actions,
-                span,
-            } => {
-                let t_dequeue = recorder.as_ref().map_or(0, |r| r.now_nanos());
-                let state = sources.entry(source).or_default();
-                let mut rebased = Vec::with_capacity(actions.len());
-                for a in &actions {
-                    let assigned = next_id;
-                    next_id += 1;
-                    let parent = a.parent.and_then(|p| state.remap.get(&p.0).copied());
-                    if a.parent.is_some() && parent.is_none() {
-                        stats.orphaned_replies += 1;
-                    }
-                    state.remap.insert(a.id.0, assigned);
-                    rebased.push(Action {
-                        id: ActionId(assigned),
-                        user: a.user,
-                        parent: parent.map(ActionId),
-                    });
-                }
+            Command::Ingest(source, actions, span) => {
+                let rebased = rebaser.rebase(source, &actions, &mut stats.orphaned_replies);
                 // Journal before processing: the disk always covers at
                 // least what the engine state reflects, so a snapshot's
                 // watermark can never run ahead of the journal.
-                let mut journal_nanos = 0u64;
-                let mut rearmed = false;
-                if let Some(p) = &mut persistence {
-                    let was_degraded =
-                        matches!(p.durability.state(), DurabilityState::Degraded);
-                    let lost = p.durability.lag_batches();
-                    let t_journal = recorder.as_ref().map_or(0, |r| r.now_nanos());
-                    rearmed = p.journal_before_ingest(&rebased);
-                    if let Some(rec) = &recorder {
-                        journal_nanos = rec.now_nanos().saturating_sub(t_journal);
-                    }
-                    // Durability transitions are lifecycle events: always
-                    // recorded while tracing is enabled, never sampled out.
-                    if let Some(t) = &mut tracer {
-                        let now_degraded =
-                            matches!(p.durability.state(), DurabilityState::Degraded);
-                        if !was_degraded && now_degraded {
-                            t.span(
-                                TraceStage::Degrade.code(),
-                                u64::MAX,
-                                u32::MAX,
-                                0,
-                                DurabilityState::Degraded.wire_code() as u16,
-                            );
-                        }
-                        if rearmed {
-                            t.span(
-                                TraceStage::Rearm.code(),
-                                u64::MAX,
-                                u32::MAX,
-                                0,
-                                lost.min(u16::MAX as u64) as u16,
-                            );
-                        }
-                    }
-                }
+                let t_journal = clock.now_nanos();
+                let rearmed = persistence.journal(&rebased);
+                let t_journaled = clock.now_nanos();
                 let (reports, breakdown) = engine.ingest_batch_traced(&rebased);
                 stats.batches += 1;
                 stats.actions += rebased.len() as u64;
@@ -1652,127 +899,74 @@ fn engine_loop(
                 if options.journal {
                     journal.extend_from_slice(&rebased);
                 }
-                if let Some(h) = options.remap_horizon {
-                    // Amortized prune, mirroring PropagationIndex: sweep
-                    // only once the assigned range doubles the horizon.
-                    if next_id - last_prune > 2 * h {
-                        let cutoff = next_id.saturating_sub(h);
-                        sources.retain(|_, s| {
-                            s.remap.retain(|_, &mut assigned| assigned >= cutoff);
-                            !s.remap.is_empty()
-                        });
-                        last_prune = next_id;
+                let t_ingested = clock.now_nanos();
+                persistence.ingested(&engine, rearmed);
+                if let Some(t) = &mut tracer {
+                    // Without persistence there is no journal or snapshot
+                    // stage to attribute.
+                    let (journal_nanos, snapshot_nanos) = if persistent {
+                        (t_journaled - t_journal, clock.now_nanos() - t_ingested)
+                    } else {
+                        (0, 0)
+                    };
+                    let shards = engine.shard_feed_reports().iter().enumerate();
+                    for (i, r) in shards.filter(|(_, r)| span.sampled && r.nanos > 0) {
+                        let stage = TraceStage::ShardSpan.code();
+                        t.span(stage, span.conn, span.corr, r.nanos, i as u16);
                     }
+                    let stages = [
+                        (TraceStage::JournalAppend, journal_nanos),
+                        (TraceStage::Resolve, breakdown.resolve_nanos),
+                        (TraceStage::ShardFeed, breakdown.feed_nanos),
+                        (TraceStage::SnapshotDispatch, snapshot_nanos),
+                    ];
+                    t.request(span, t_dequeue, &stages);
                 }
-                let mut snapshot_nanos = 0u64;
-                if let Some(p) = &mut persistence {
-                    let t_snap = recorder.as_ref().map_or(0, |r| r.now_nanos());
-                    let was_in_flight = p.snapshot_in_flight;
-                    if rearmed {
-                        p.finish_rearm(&engine);
-                    }
-                    // Background snapshot trigger: every N slides, between
-                    // batches (never mid-slide — slides never span batches).
-                    p.maybe_background_snapshot(&engine);
-                    if let Some(rec) = &recorder {
-                        snapshot_nanos = rec.now_nanos().saturating_sub(t_snap);
-                    }
-                    if p.snapshot_in_flight && !was_in_flight {
-                        if let Some(t) = &mut tracer {
-                            // A dispatch always rotates the journal first.
-                            t.span(TraceStage::Lifecycle.code(), u64::MAX, u32::MAX, 0, 0);
-                        }
-                    }
-                }
-                // Refresh the scrape-facing gauges after every batch, so
+                // Refreshes the scrape-facing gauges after every batch, so
                 // `/metrics` reflects the pipeline without ever sending a
                 // command through the queue.
-                let pool = engine.pool_stats();
-                metrics.observe_arena(pool.arena_takes, pool.arena_hits);
-                if pool.migrations > seen_migrations {
-                    seen_migrations = pool.migrations;
-                    if let Some(t) = &mut tracer {
-                        t.span(TraceStage::Lifecycle.code(), u64::MAX, u32::MAX, 0, 1);
-                    }
-                }
-                if let Some(t) = &mut tracer {
-                    if span.sampled {
-                        for (i, r) in engine.shard_feed_reports().iter().enumerate() {
-                            if r.nanos > 0 {
-                                t.span(
-                                    TraceStage::ShardSpan.code(),
-                                    span.conn,
-                                    span.corr,
-                                    r.nanos,
-                                    i as u16,
-                                );
-                            }
-                        }
-                    }
-                    trace_request(
-                        t,
-                        span,
-                        t_dequeue,
-                        &[
-                            (TraceStage::JournalAppend, journal_nanos),
-                            (TraceStage::Resolve, breakdown.resolve_nanos),
-                            (TraceStage::ShardFeed, breakdown.feed_nanos),
-                            (TraceStage::SnapshotDispatch, snapshot_nanos),
-                        ],
-                    );
-                }
-                finish_stats(&mut stats, &engine, &shared, persistence.as_ref());
-                metrics.observe_stats(&stats);
-                if let Some(rec) = &recorder {
-                    metrics.observe_trace(rec.events_total(), rec.slow_total());
-                }
+                publish(&mut stats, &engine, &persistence, &shared);
             }
-            Command::Query { reply, span } => {
-                let t_dequeue = recorder.as_ref().map_or(0, |r| r.now_nanos());
-                let started = Instant::now();
+            Command::Query(reply, span) => {
                 let solution = engine.query();
-                let nanos = started.elapsed().as_nanos() as u64;
+                let nanos = clock.now_nanos() - t_dequeue;
                 stats.query_nanos = stats.query_nanos.saturating_add(nanos);
                 metrics.record_query(nanos);
                 if let Some(t) = &mut tracer {
-                    trace_request(t, span, t_dequeue, &[(TraceStage::OracleQuery, nanos)]);
+                    t.request(span, t_dequeue, &[(TraceStage::OracleQuery, nanos)]);
                 }
                 reply.send(solution);
             }
-            Command::Stats { reply, span } => {
-                let t_dequeue = recorder.as_ref().map_or(0, |r| r.now_nanos());
-                finish_stats(&mut stats, &engine, &shared, persistence.as_ref());
-                metrics.observe_stats(&stats);
+            Command::Stats(reply, span) => {
+                publish(&mut stats, &engine, &persistence, &shared);
                 if let Some(t) = &mut tracer {
-                    trace_request(t, span, t_dequeue, &[]);
+                    t.request(span, t_dequeue, &[]);
                 }
                 reply.send(stats);
             }
-            Command::Snapshot { reply, span } => {
-                let t_dequeue = recorder.as_ref().map_or(0, |r| r.now_nanos());
-                match &mut persistence {
-                    None => reply.send(Err(SnapshotRequestError::Disabled)),
-                    Some(p) => {
-                        p.dispatch_snapshot(&engine, Some(reply));
-                        if let Some(t) = &mut tracer {
-                            let nanos = t.now_nanos().saturating_sub(t_dequeue);
-                            t.span(
-                                TraceStage::SnapshotDispatch.code(),
-                                u64::MAX,
-                                u32::MAX,
-                                nanos,
-                                0,
-                            );
-                            t.span(TraceStage::Lifecycle.code(), u64::MAX, u32::MAX, 0, 0);
-                        }
-                    }
-                }
+            Command::Snapshot(reply, span) => {
+                persistence.dispatch_snapshot(&engine, Some(reply));
                 if let Some(t) = &mut tracer {
-                    trace_request(t, span, t_dequeue, &[]);
+                    if persistent {
+                        let nanos = clock.now_nanos() - t_dequeue;
+                        t.lifecycle(TraceStage::SnapshotDispatch, nanos, 0);
+                    }
+                    t.request(span, t_dequeue, &[]);
                 }
             }
-            Command::Shutdown => {
-                draining = true;
+            Command::Shutdown => draining = true,
+        }
+
+        // Lifecycle events: always recorded while tracing is enabled,
+        // never sampled out.
+        let events = persistence.take_events();
+        if let Some(t) = &mut tracer {
+            for (stage, aux) in events {
+                t.lifecycle(stage, 0, aux);
+            }
+            if stats.shard_migrations > seen_migrations {
+                seen_migrations = stats.shard_migrations;
+                t.lifecycle(TraceStage::Lifecycle, 0, 1);
             }
         }
     }
@@ -1780,32 +974,23 @@ fn engine_loop(
     // Final fsync + writer-thread join happen before the stats freeze, so
     // the report reflects the closing durability state (a failed final
     // sync shows up as degraded).
-    if let Some(p) = &mut persistence {
-        p.shutdown();
-    }
-    finish_stats(&mut stats, &engine, &shared, persistence.as_ref());
-    metrics.observe_stats(&stats);
-    let durability = persistence
-        .as_ref()
-        .map_or(DurabilityState::Disabled, |p| p.durability.state());
+    persistence.shutdown();
+    publish(&mut stats, &engine, &persistence, &shared);
     EngineReport {
         stats,
         final_solution: engine.query(),
         // Rebased ids are strictly increasing and parents resolve to
         // earlier assigned ids, so the journal is valid by construction.
         journal: options.journal.then(|| SocialStream::new_unchecked(journal)),
-        recent_slides: recent.into_iter().collect(),
-        durability,
+        recent_slides: recent.into(),
+        durability: persistence.state(),
     }
 }
 
-/// Fills the point-in-time fields of the stats snapshot.
-fn finish_stats(
-    stats: &mut EngineStats,
-    engine: &SimEngine,
-    shared: &Shared,
-    persistence: Option<&Persistence>,
-) {
+/// Publishes the point-in-time stats: fills the gauges read at this
+/// instant and stores the copy every STATS answer and `/metrics` engine
+/// gauge reads.
+fn publish(stats: &mut EngineStats, engine: &SimEngine, durable: &Persistence, shared: &Shared) {
     stats.checkpoints = engine.checkpoint_count() as u64;
     stats.oracle_updates = engine.oracle_updates();
     stats.users = engine.interner().len() as u64;
@@ -1814,78 +999,12 @@ fn finish_stats(
     stats.shard_migrations = pool.migrations;
     stats.shard_ewma_min_nanos = pool.ewma_min_nanos;
     stats.shard_ewma_max_nanos = pool.ewma_max_nanos;
-    if let Some(p) = persistence {
-        p.fill_stats(stats);
-    }
-}
-
-/// Emits one request's measured stage spans onto the engine lane (ring
-/// events for sampled frames only) and promotes the full breakdown to the
-/// slow-op log when the end-to-end span crosses the configured threshold
-/// (slow-op capture ignores sampling).
-///
-/// The end-to-end span starts at the front-end's socket-readable stamp
-/// when present, else at the enqueue stamp, else at dequeue — so the
-/// per-stage durations (disjoint sub-intervals measured against the same
-/// recorder epoch) always sum to at most the recorded total.
-fn trace_request(
-    tracer: &mut TraceWriter,
-    span: SpanCtx,
-    t_dequeue: u64,
-    stages: &[(TraceStage, u64)],
-) {
-    let end_nanos = tracer.now_nanos();
-    let queue_wait = if span.enqueue_nanos > 0 {
-        t_dequeue.saturating_sub(span.enqueue_nanos)
-    } else {
-        0
-    };
-    let mut slow_stages = [0u64; SLOW_STAGES];
-    slow_stages[TraceStage::Parse.code() as usize] = span.parse_nanos;
-    slow_stages[TraceStage::QueueWait.code() as usize] = queue_wait;
-    for &(stage, nanos) in stages {
-        slow_stages[stage.code() as usize] = nanos;
-    }
-    if span.sampled {
-        if span.parse_nanos > 0 {
-            tracer.span(
-                TraceStage::Parse.code(),
-                span.conn,
-                span.corr,
-                span.parse_nanos,
-                0,
-            );
-        }
-        tracer.span(
-            TraceStage::QueueWait.code(),
-            span.conn,
-            span.corr,
-            queue_wait,
-            0,
-        );
-        for &(stage, nanos) in stages {
-            if nanos > 0 {
-                tracer.span(stage.code(), span.conn, span.corr, nanos, 0);
-            }
-        }
-    }
-    let start = if span.start_nanos > 0 {
-        span.start_nanos
-    } else if span.enqueue_nanos > 0 {
-        span.enqueue_nanos
-    } else {
-        t_dequeue
-    };
-    let total = end_nanos.saturating_sub(start);
-    if total >= tracer.recorder().config().slow_nanos {
-        tracer.recorder().record_slow(SlowOp {
-            conn: span.conn,
-            corr: span.corr,
-            kind: span.kind,
-            start_nanos: start,
-            total_nanos: total,
-            stages: slow_stages,
-        });
+    durable.fill_stats(stats);
+    let metrics = &shared.metrics;
+    metrics.observe_stats(stats);
+    metrics.observe_arena(pool.arena_takes, pool.arena_hits);
+    if let Some(rec) = &shared.recorder {
+        metrics.observe_trace(rec.events_total(), rec.slow_total());
     }
 }
 

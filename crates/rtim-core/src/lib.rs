@@ -22,8 +22,6 @@
 //! * [`pool`] — the [`ShardPool`]: long-lived worker threads, each owning a
 //!   stable shard of checkpoints, fed slides over channels with
 //!   bit-identical-to-sequential results.
-//! * [`parallel`] — the legacy per-slide scoped-thread feeding, retained
-//!   only as the benchmark baseline the pool is compared against.
 //! * [`engine`] — the [`SimEngine`] driver: maintains the sliding window and
 //!   the propagation index, feeds resolved actions into a framework, and
 //!   answers SIM queries after every slide (including multi-action slides,
@@ -33,7 +31,8 @@
 //!   bounded queue decoupling producers from a dedicated engine thread while
 //!   preserving the one-writer determinism invariant (what the
 //!   `rtim-server` TCP front-end runs on), with optional durable
-//!   persistence (disk journal + snapshots + startup recovery).
+//!   persistence (disk journal + snapshots + startup recovery, owned by
+//!   the engine thread and implemented in `durable.rs`).
 //! * [`metrics`] — the observability layer: log-scale latency histograms
 //!   with sliding-window p50/p95/p99 aggregation and the shared
 //!   [`EngineMetrics`] registry the engine thread, the server front-ends
@@ -76,6 +75,7 @@
 
 pub mod checkpoint_set;
 pub mod config;
+mod durable;
 pub mod engine;
 pub mod extensions;
 pub mod framework;
@@ -83,7 +83,6 @@ pub mod handle;
 pub mod ic;
 pub mod intern;
 pub mod metrics;
-pub mod parallel;
 pub mod pool;
 pub mod sic;
 pub mod snapshot;

@@ -3,11 +3,9 @@
 //! Checkpoints are mutually independent: every checkpoint replays the same
 //! slide of resolved actions against its own private state, so slides can be
 //! fanned out across workers without any cross-checkpoint synchronization.
-//! The old `parallel::feed_all_scoped` path exploited this with
-//! `std::thread::scope`, paying thread startup on **every** slide; a
-//! [`ShardPool`] instead spawns its workers **once** (per engine) and keeps
-//! them alive for the lifetime of the pool, which is the shape a long-running
-//! ingest server needs.
+//! A [`ShardPool`] spawns its workers **once** (per engine) rather than per
+//! slide and keeps them alive for the lifetime of the pool, which is the
+//! shape a long-running ingest server needs.
 //!
 //! ## Shard-ownership model
 //!

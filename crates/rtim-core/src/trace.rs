@@ -36,10 +36,33 @@
 //! breakdown promoted to a separate bounded log ([`SlowOp`]), mutex-kept
 //! because promotion is off the common path.  See `docs/TRACING.md`.
 
-use rtim_stream::trace::{SlowOp, TraceDump, TraceEvent, STAGE_COUNT};
+use rtim_stream::trace::{SlowOp, TraceDump, TraceEvent, TraceStage, SLOW_STAGES, STAGE_COUNT};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Monotonic nanoseconds since a fixed epoch.  The engine thread reads
+/// every stage time off one clock: the recorder's when tracing is on (so
+/// stage durations and ring event times share a time base), else one
+/// started with the thread.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Clock {
+    epoch: Instant,
+}
+
+impl Clock {
+    /// A clock whose epoch is now.
+    pub(crate) fn start() -> Clock {
+        Clock {
+            epoch: Instant::now(),
+        }
+    }
+
+    /// Nanoseconds since the epoch.
+    pub(crate) fn now_nanos(self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+}
 
 /// Hard cap on writer lanes; registration beyond it yields disarmed
 /// writers (recording drops, counted) rather than unbounded memory.
@@ -209,13 +232,68 @@ impl TraceWriter {
             aux,
         });
     }
+
+    /// Records a lifecycle event: attributed to no request, never sampled
+    /// out.
+    pub(crate) fn lifecycle(&mut self, stage: TraceStage, duration_nanos: u64, aux: u16) {
+        self.span(stage.code(), u64::MAX, u32::MAX, duration_nanos, aux);
+    }
+
+    /// Records one request's parse, queue-wait and measured `stages` spans
+    /// (ring events for sampled requests only) and promotes the full
+    /// breakdown to the slow-op log when the end-to-end span crosses the
+    /// configured threshold (slow-op capture ignores sampling).
+    ///
+    /// The end-to-end span starts at the front-end's socket-readable stamp
+    /// when present, else at the enqueue stamp, else at `dequeue_nanos` —
+    /// so the per-stage durations (disjoint sub-intervals measured against
+    /// the recorder epoch) always sum to at most the recorded total.
+    pub(crate) fn request(
+        &mut self,
+        span: SpanCtx,
+        dequeue_nanos: u64,
+        stages: &[(TraceStage, u64)],
+    ) {
+        let end_nanos = self.now_nanos();
+        let queue_wait = match span.enqueue_nanos {
+            0 => 0,
+            enqueued => dequeue_nanos.saturating_sub(enqueued),
+        };
+        let front = [
+            (TraceStage::Parse, span.parse_nanos),
+            (TraceStage::QueueWait, queue_wait),
+        ];
+        let mut breakdown = [0u64; SLOW_STAGES];
+        for &(stage, nanos) in front.iter().chain(stages) {
+            breakdown[stage.code() as usize] = nanos;
+            // A sampled request always shows its queue wait, even a zero one.
+            if span.sampled && (nanos > 0 || stage == TraceStage::QueueWait) {
+                self.span(stage.code(), span.conn, span.corr, nanos, 0);
+            }
+        }
+        let start = [span.start_nanos, span.enqueue_nanos]
+            .into_iter()
+            .find(|&t| t > 0)
+            .unwrap_or(dequeue_nanos);
+        let total = end_nanos.saturating_sub(start);
+        if total >= self.recorder.config.slow_nanos {
+            self.recorder.record_slow(SlowOp {
+                conn: span.conn,
+                corr: span.corr,
+                kind: span.kind,
+                start_nanos: start,
+                total_nanos: total,
+                stages: breakdown,
+            });
+        }
+    }
 }
 
 /// The shared flight recorder: lane registry, slow-op log, cumulative
 /// per-stage totals and the passive [`dump`](FlightRecorder::dump).
 pub struct FlightRecorder {
     config: TraceConfig,
-    epoch: Instant,
+    clock: Clock,
     lanes: Mutex<Vec<Arc<Lane>>>,
     slow: Mutex<std::collections::VecDeque<SlowOp>>,
     /// Cumulative (events, span nanos) per stage code, since creation.
@@ -230,7 +308,7 @@ impl FlightRecorder {
     pub fn new(config: TraceConfig) -> Arc<FlightRecorder> {
         Arc::new(FlightRecorder {
             config,
-            epoch: Instant::now(),
+            clock: Clock::start(),
             lanes: Mutex::new(Vec::new()),
             slow: Mutex::new(std::collections::VecDeque::new()),
             stage_counts: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -248,7 +326,12 @@ impl FlightRecorder {
     /// Nanoseconds since the recorder epoch (monotonic, shared by every
     /// lane — cross-lane event times are directly comparable).
     pub fn now_nanos(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.clock.now_nanos()
+    }
+
+    /// The recorder's clock.
+    pub(crate) fn clock(&self) -> Clock {
+        self.clock
     }
 
     /// Registers a new writer lane for the calling thread.  Past
