@@ -17,6 +17,11 @@
 //! The Criterion benches under `benches/` measure the same operations at
 //! micro scale (per-slide latencies, per-element oracle updates, graph
 //! operations); the binaries regenerate the full figures/tables.
+//!
+//! The `bench_feed` binary writes the engine-level perf artifact
+//! `BENCH_feed.json` ([`feedjson`]).  The served path (TCP front-end,
+//! journal, snapshots, recovery) is measured by the separate `perfbench/`
+//! workspace: `python3 perfbench/run.py`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,10 +32,8 @@ pub mod experiments;
 pub mod feedjson;
 pub mod params;
 pub mod quality;
-pub mod recoverjson;
 pub mod report;
 pub mod runner;
-pub mod servejson;
 pub mod stats;
 
 pub use covbench::{bitmap_pass, coverage_workload, hashset_pass, time_pass};
@@ -38,8 +41,6 @@ pub use experiments::{BetaSweep, CommonArgs, MethodSweep, COMMON_KEYS};
 pub use feedjson::{
     BaselineSample, CoverageOpsSample, FeedBenchReport, FeedRun, TraceOverheadSample, FEED_SCHEMA,
 };
-pub use recoverjson::{RecoverBenchReport, RecoverRun, StallProbe, RECOVER_SCHEMA};
-pub use servejson::{ServeBenchReport, ServeRun, ServeSetup, SERVE_SCHEMA};
 pub use params::{ExperimentParams, ParamGrid};
 pub use quality::evaluate_average_spread;
 pub use report::{format_series, format_table, Series};

@@ -650,6 +650,11 @@ mod tests {
         assert!(text.contains("# TYPE rtim_feed_nanos summary"));
         assert!(text.contains("# TYPE rtim_actions_total counter"));
         assert!(text.contains("# TYPE rtim_durability_state gauge"));
+        // Every sample line is `name[{labels}] value` with a numeric value.
+        for line in text.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
+            let (_, value) = line.rsplit_once(' ').expect("sample line without value");
+            assert!(value.parse::<f64>().is_ok(), "unparseable value in {line:?}");
+        }
     }
 
     #[test]

@@ -55,11 +55,12 @@ fn synth(batches: usize) -> Vec<Action> {
     actions
 }
 
-/// Runs the full life: pipeline under `fs` faults, shutdown, recover from
-/// the surviving files with a healthy filesystem, and check the recovery
-/// contract.  Returns the closing durability state.
+/// Runs the full life: a `kind` pipeline under `fs` faults, shutdown,
+/// recover from the surviving files with a healthy filesystem, and check
+/// the recovery contract.  Returns the closing durability state.
 fn run_and_check_recovery(
     dir: &PathBuf,
+    kind: FrameworkKind,
     fs: Fs,
     actions: &[Action],
     snapshot_every: u64,
@@ -72,7 +73,7 @@ fn run_and_check_recovery(
         .with_rotate_segment_bytes(rotate_bytes);
     let handle = EngineHandle::spawn(
         config(),
-        FrameworkKind::Sic,
+        kind,
         HandleOptions::default().with_persistence(persist),
     );
     let mut sender = handle.sender();
@@ -94,11 +95,11 @@ fn run_and_check_recovery(
     // Recovery with a healthy disk: whatever survived must be a
     // batch-aligned prefix, served bit-identically to an offline replay
     // of that prefix.
-    let outcome = recover_engine(config(), FrameworkKind::Sic, dir);
+    let outcome = recover_engine(config(), kind, dir);
     let w = outcome.watermark as usize;
     assert_eq!(w % BATCH, 0, "watermark {w} is not batch-aligned");
     assert!(w <= actions.len());
-    let mut offline = SimEngine::new(config(), FrameworkKind::Sic);
+    let mut offline = SimEngine::new(config(), kind);
     for chunk in actions[..w].chunks(BATCH) {
         offline.ingest_batch(chunk);
     }
@@ -131,7 +132,7 @@ proptest! {
         let dir = temp_dir("crash");
         let actions = synth(batches);
         let fs = Fs::faulty(FaultInjector::new(vec![FaultRule::CrashAt { at: crash_at }]));
-        run_and_check_recovery(&dir, fs, &actions, snapshot_every, 0);
+        run_and_check_recovery(&dir, FrameworkKind::Sic, fs, &actions, snapshot_every, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -159,7 +160,8 @@ proptest! {
             from,
             count,
         }]));
-        let closing = run_and_check_recovery(&dir, fs, &actions, 0, rotate_bytes);
+        let closing =
+            run_and_check_recovery(&dir, FrameworkKind::Sic, fs, &actions, 0, rotate_bytes);
         prop_assert_eq!(
             closing,
             DurabilityState::Durable,
@@ -168,10 +170,11 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Fault-free sanity bound for the suite: any rotation granularity
-    /// recovers the whole stream bit-identically.
+    /// Fault-free sanity bound for the suite: either framework, at any
+    /// rotation granularity, recovers the whole stream bit-identically.
     #[test]
     fn healthy_rotated_pipeline_recovers_everything(
+        kind in (0usize..2).prop_map(|v| [FrameworkKind::Ic, FrameworkKind::Sic][v]),
         batches in 1usize..24,
         snapshot_every in 0u64..4,
         rotate_bytes in (0u64..3).prop_map(|v| [0, 128, 1024][v as usize]),
@@ -179,7 +182,7 @@ proptest! {
         let dir = temp_dir("healthy");
         let actions = synth(batches);
         let closing =
-            run_and_check_recovery(&dir, Fs::real(), &actions, snapshot_every, rotate_bytes);
+            run_and_check_recovery(&dir, kind, Fs::real(), &actions, snapshot_every, rotate_bytes);
         prop_assert_eq!(closing, DurabilityState::Durable);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,8 +1,8 @@
 //! A small blocking client for the RTIM wire protocol.
 //!
-//! Used by the integration tests, the `bench_serve` harness and the
-//! `live_server` example; deployments with their own I/O stack only need
-//! the [`crate::protocol`] codec.
+//! Used by the integration tests, the served-path benchmark under
+//! `perfbench/`, `rtim-cli` and the `live_server` example; deployments
+//! with their own I/O stack only need the [`crate::protocol`] codec.
 //!
 //! One client = one connection = one private id space: action ids must be
 //! strictly increasing across everything this client ingests, and replies
@@ -13,8 +13,8 @@
 //! are strict request/reply: one frame out, one frame back.  For
 //! throughput, [`RtimClient::pipelined`] opens a [`PipelinedIngest`]
 //! session that keeps a window of correlated `INGEST`s in flight on the
-//! same socket — the mode `bench_serve` drives and the reason the event
-//! loop's round-trip stalls disappear.
+//! same socket, so the event loop never stalls on one round trip per
+//! batch.
 
 use crate::protocol::{read_frame, write_frame, Frame, FrameError, PROTOCOL_VERSION};
 use rtim_core::{EngineStats, SnapshotInfo, Solution};

@@ -464,15 +464,15 @@ mod tests {
     }
 
     /// The tracing acceptance path over the wire: with sampling at 1 and
-    /// a zero slow threshold, a served workload produces ring events for
-    /// every pipeline stage, and every slow op round-trips through
-    /// `TRACE` with its stage durations summing to within the end-to-end
-    /// span.
-    #[test]
-    fn trace_dump_round_trips_with_full_stage_breakdown() {
+    /// a zero slow threshold, a served workload at shard-pool width
+    /// `threads` produces ring events for every pipeline stage, and every
+    /// slow op round-trips through `TRACE` with its stage durations
+    /// summing to within the end-to-end span.
+    fn check_trace_dump_stage_breakdown(threads: usize) {
         use rtim_core::TraceConfig;
         use rtim_stream::trace::TraceStage;
-        let config = ServerConfig::new(SimConfig::new(2, 0.3, 8, 2), FrameworkKind::Ic)
+        let sim = SimConfig::new(2, 0.3, 8, 2).with_threads(threads);
+        let config = ServerConfig::new(sim, FrameworkKind::Ic)
             .with_queue_capacity(8)
             .with_event_loop_threads(1)
             .with_tracing(TraceConfig::sampled(1, 0));
@@ -527,6 +527,19 @@ mod tests {
         drop(client);
         let report = server.shutdown();
         assert_eq!(report.stats.actions, 10);
+    }
+
+    /// Pool width 1: the engine feeds its checkpoints inline.
+    #[test]
+    fn trace_dump_round_trips_with_full_stage_breakdown() {
+        check_trace_dump_stage_breakdown(1);
+    }
+
+    /// Pool width 2: checkpoints are fed through the shard pool, and the
+    /// shard-feed stage must still be attributed.
+    #[test]
+    fn trace_dump_round_trips_with_full_stage_breakdown_at_pool_width_2() {
+        check_trace_dump_stage_breakdown(2);
     }
 
     /// With tracing off (the default), TRACE still answers — with an

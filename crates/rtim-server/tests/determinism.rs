@@ -185,12 +185,13 @@ fn scraping_does_not_perturb_bit_identity_under_256_connections() {
     const L: usize = 10;
     const CLIENTS: usize = 256;
     const PER_CLIENT: usize = 200;
+    const CAPACITY: usize = 16;
     let config = SimConfig::new(3, 0.4, 100, L);
     let server = RtimServer::bind(
         "127.0.0.1:0",
         ServerConfig::new(config, FrameworkKind::Sic)
             .with_journal(true)
-            .with_queue_capacity(16)
+            .with_queue_capacity(CAPACITY)
             .with_event_loop_threads(2)
             .with_metrics("127.0.0.1:0")
             .with_tracing(rtim_core::TraceConfig::sampled(1, 0)),
@@ -251,6 +252,13 @@ fn scraping_does_not_perturb_bit_identity_under_256_connections() {
     probe.shutdown().unwrap();
     let report = server.wait();
     assert_eq!(report.stats.actions, (CLIENTS * PER_CLIENT) as u64);
+    // 256 connections race into the bounded queue; the depth the engine
+    // observed stays within its capacity.
+    assert!(
+        report.stats.max_queue_depth <= CAPACITY as u64,
+        "max queue depth {} over capacity {CAPACITY}",
+        report.stats.max_queue_depth
+    );
 
     let mut offline = SimEngine::new_sic(config);
     let offline_solution = offline.run_stream(&report.journal.unwrap()).final_solution();
