@@ -44,7 +44,7 @@ use crate::framework::{ResolvedAction, Solution};
 use crate::pool::{AdaptiveConfig, CheckpointStat, PoolStats, ShardPool, WorkerFeedReport};
 use crate::ssm::Checkpoint;
 use rtim_stream::{UserId, WordArena};
-use rtim_submodular::{DenseWeights, ElementWeight, OracleConfig, OracleKind};
+use rtim_submodular::{DenseWeights, ElementWeight, OracleConfig, OracleCounters, OracleKind};
 
 /// Where the checkpoints physically live.
 enum Exec {
@@ -233,6 +233,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
             start,
             value: 0.0,
             updates: 0,
+            counters: OracleCounters::default(),
         });
     }
 
@@ -256,6 +257,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
                     }
                     stat.value = cp.value();
                     stat.updates = cp.updates();
+                    stat.counters = cp.counters();
                 }
                 arena.end_slide();
             }
@@ -322,6 +324,11 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
     /// Total oracle element updates across all live checkpoints.
     pub fn total_updates(&self) -> u64 {
         self.stats.iter().map(|s| s.updates).sum()
+    }
+
+    /// Oracle outcome counters summed over all live checkpoints.
+    pub fn total_counters(&self) -> OracleCounters {
+        self.stats.iter().map(|s| s.counters).sum()
     }
 
     /// Full solution (seeds + value) of the checkpoint at `i`.
@@ -398,6 +405,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
                 start: checkpoint.start(),
                 value: checkpoint.value(),
                 updates: checkpoint.updates(),
+                counters: checkpoint.counters(),
             });
             match &mut set.exec {
                 Exec::Sequential(list, _) => list.push(checkpoint),

@@ -30,7 +30,7 @@ use crate::sic::SicFramework;
 use rtim_stream::{
     window_influence_sets, Action, InfluenceSets, PropagationIndex, SlidingWindow, SocialStream,
 };
-use rtim_submodular::ElementWeight;
+use rtim_submodular::{ElementWeight, OracleCounters};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -45,6 +45,8 @@ pub struct SlideReport {
     pub checkpoints: usize,
     /// Total oracle element updates performed by the framework so far.
     pub oracle_updates: u64,
+    /// Oracle outcome counters summed over the live checkpoints.
+    pub oracle_counters: OracleCounters,
     /// Wall-clock nanoseconds spent ingesting this slide: ancestry
     /// resolution (amortized per action for batched ingestion), window
     /// maintenance and the framework's checkpoint updates.
@@ -350,6 +352,7 @@ impl SimEngine {
             expired,
             checkpoints: self.framework.checkpoint_count(),
             oracle_updates: self.framework.oracle_updates(),
+            oracle_counters: self.framework.oracle_counters(),
             feed_nanos: resolve_nanos + started.elapsed().as_nanos() as u64,
             query_nanos: 0,
             queue_depth: None,
@@ -364,6 +367,7 @@ impl SimEngine {
             return SlideReport {
                 checkpoints: self.framework.checkpoint_count(),
                 oracle_updates: self.framework.oracle_updates(),
+                oracle_counters: self.framework.oracle_counters(),
                 ..SlideReport::default()
             };
         }
@@ -623,6 +627,11 @@ mod tests {
             seq_report.slides.iter().map(|r| r.checkpoints).collect::<Vec<_>>(),
             par_report.slides.iter().map(|r| r.checkpoints).collect::<Vec<_>>(),
         );
+        // The oracle outcome counters travel the pool's stats unchanged.
+        let counters =
+            |r: &RunReport| r.slides.iter().map(|s| s.oracle_counters).collect::<Vec<_>>();
+        assert_eq!(counters(&seq_report), counters(&par_report));
+        assert!(seq_report.slides.last().unwrap().oracle_counters.elements > 0);
     }
 
     #[test]

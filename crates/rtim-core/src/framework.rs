@@ -1,6 +1,7 @@
 //! Common interface of the checkpoint frameworks (IC and SIC).
 
 use rtim_stream::UserId;
+use rtim_submodular::OracleCounters;
 use serde::{Deserialize, Serialize};
 
 /// An action whose reply ancestry has already been resolved by the
@@ -91,6 +92,10 @@ pub trait Framework: Send {
     /// Total number of oracle element updates performed so far
     /// (instrumentation for the complexity analysis).
     fn oracle_updates(&self) -> u64;
+
+    /// Oracle outcome counters summed over the live checkpoints (see
+    /// [`OracleCounters`]).
+    fn oracle_counters(&self) -> OracleCounters;
 
     /// Which framework this is.
     fn kind(&self) -> FrameworkKind;

@@ -31,6 +31,7 @@
 
 use crate::engine::SlideReport;
 use crate::handle::EngineStats;
+use rtim_submodular::OracleCounters;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -224,6 +225,9 @@ struct MetricsInner {
     depth: SlidingHistogram,
     /// The engine's counters as of the last batch or `STATS` answer.
     stats: EngineStats,
+    /// Oracle outcome counters summed over the live checkpoints, as of
+    /// the last slide.
+    oracle: OracleCounters,
 }
 
 /// Shared metrics registry of one engine pipeline.
@@ -266,6 +270,7 @@ impl EngineMetrics {
                 query: SlidingHistogram::new(window),
                 depth: SlidingHistogram::new(window),
                 stats: EngineStats::default(),
+                oracle: OracleCounters::default(),
             }),
             parked_requests: AtomicU64::new(0),
             connections_opened: AtomicU64::new(0),
@@ -292,6 +297,7 @@ impl EngineMetrics {
     pub fn record_slide(&self, report: &SlideReport) {
         let mut inner = self.locked();
         inner.feed.record(report.feed_nanos);
+        inner.oracle = report.oracle_counters;
         if let Some(depth) = report.queue_depth {
             inner.depth.record(depth as u64);
         }
@@ -381,13 +387,14 @@ impl EngineMetrics {
     /// durability/pool gauges.  Purely a read — never talks to the
     /// engine.
     pub fn render_prometheus(&self) -> String {
-        let (feed, query, depth, stats) = {
+        let (feed, query, depth, stats, oracle) = {
             let inner = self.locked();
             (
                 inner.feed.aggregate(),
                 inner.query.aggregate(),
                 inner.depth.aggregate(),
                 inner.stats,
+                inner.oracle,
             )
         };
         let mut out = String::with_capacity(4096);
@@ -503,6 +510,38 @@ impl EngineMetrics {
             ),
         ];
         for (name, help, value) in gauges {
+            render_scalar(&mut out, name, help, "gauge", value);
+        }
+        // Sums over the live checkpoints, like `rtim_oracle_updates_total`:
+        // they fall when a checkpoint expires, hence gauges.
+        let outcomes: [(&str, &str, u64); 5] = [
+            (
+                "rtim_oracle_elements_total",
+                "Oracle elements processed",
+                oracle.elements,
+            ),
+            (
+                "rtim_oracle_loop_skips_total",
+                "Oracle elements whose whole admission loop was skipped",
+                oracle.loop_skips,
+            ),
+            (
+                "rtim_oracle_bound_rejections_total",
+                "Oracle admission tests rejected by a cached gain bound",
+                oracle.bound_rejections,
+            ),
+            (
+                "rtim_oracle_gain_passes_total",
+                "Oracle marginal-gain passes over an instance's coverage",
+                oracle.gain_passes,
+            ),
+            (
+                "rtim_oracle_admissions_total",
+                "Oracle elements admitted as an instance seed",
+                oracle.admissions,
+            ),
+        ];
+        for (name, help, value) in outcomes {
             render_scalar(&mut out, name, help, "gauge", value);
         }
         render_scalar(
@@ -622,6 +661,13 @@ mod tests {
             actions: 10,
             feed_nanos: 1234,
             queue_depth: Some(3),
+            oracle_counters: OracleCounters {
+                elements: 50,
+                loop_skips: 30,
+                bound_rejections: 4,
+                gain_passes: 12,
+                admissions: 2,
+            },
             ..SlideReport::default()
         });
         metrics.record_query(5678);
@@ -643,6 +689,11 @@ mod tests {
             "rtim_arena_hits_total 90",
             "rtim_trace_events_total 7",
             "rtim_trace_slow_ops_total 2",
+            "rtim_oracle_elements_total 50",
+            "rtim_oracle_loop_skips_total 30",
+            "rtim_oracle_bound_rejections_total 4",
+            "rtim_oracle_gain_passes_total 12",
+            "rtim_oracle_admissions_total 2",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }

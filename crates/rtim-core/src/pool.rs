@@ -65,7 +65,7 @@
 use crate::framework::{ResolvedAction, Solution};
 use crate::ssm::Checkpoint;
 use rtim_stream::WordArena;
-use rtim_submodular::DenseWeights;
+use rtim_submodular::{DenseWeights, OracleCounters};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -82,6 +82,8 @@ pub struct CheckpointStat {
     pub value: f64,
     /// Total oracle element updates performed by this checkpoint so far.
     pub updates: u64,
+    /// The checkpoint oracle's outcome counters.
+    pub counters: OracleCounters,
 }
 
 /// Knobs of the timing-driven adaptive placement (see the
@@ -596,6 +598,7 @@ fn worker_loop(rx: Receiver<ShardMsg>, tx: Sender<ShardReply>) {
                         start: cp.start(),
                         value: cp.value(),
                         updates: cp.updates(),
+                        counters: cp.counters(),
                     });
                 }
                 arena.end_slide();
@@ -692,6 +695,7 @@ mod tests {
                     start: cp.start(),
                     value: cp.value(),
                     updates: cp.updates(),
+                    counters: cp.counters(),
                 }
             })
             .collect()

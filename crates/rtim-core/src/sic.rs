@@ -24,7 +24,7 @@
 use crate::checkpoint_set::CheckpointSet;
 use crate::config::SimConfig;
 use crate::framework::{Framework, FrameworkKind, ResolvedAction, Solution};
-use rtim_submodular::{ElementWeight, UnitWeight};
+use rtim_submodular::{ElementWeight, OracleCounters, UnitWeight};
 
 /// The SIC framework with a pluggable element weight (influence function).
 pub struct SicFramework<W: ElementWeight + Send + 'static = UnitWeight> {
@@ -185,6 +185,10 @@ impl<W: ElementWeight + Send + 'static> Framework for SicFramework<W> {
 
     fn oracle_updates(&self) -> u64 {
         self.checkpoints.total_updates()
+    }
+
+    fn oracle_counters(&self) -> OracleCounters {
+        self.checkpoints.total_counters()
     }
 
     fn kind(&self) -> FrameworkKind {

@@ -35,7 +35,7 @@
 
 use crate::framework::{ResolvedAction, Solution};
 use rtim_stream::{InfluenceAccumulator, WordArena};
-use rtim_submodular::{DenseWeights, OracleConfig, OracleKind, SsoOracle};
+use rtim_submodular::{DenseWeights, OracleConfig, OracleCounters, OracleKind, SsoOracle};
 
 /// A checkpoint: an SSO oracle adapted to the action stream through SSM.
 pub struct Checkpoint {
@@ -166,6 +166,12 @@ impl Checkpoint {
     #[inline]
     pub fn updates(&self) -> u64 {
         self.updates
+    }
+
+    /// The oracle's outcome counters (see [`OracleCounters`]).
+    #[inline]
+    pub fn counters(&self) -> OracleCounters {
+        self.oracle.counters()
     }
 
     /// Number of distinct users with a non-empty influence set inside this

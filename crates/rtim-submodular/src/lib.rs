@@ -38,7 +38,7 @@ pub mod weights;
 
 pub use coverage::{reference::HashCoverageState, CoverageState};
 pub use greedy::{brute_force_best, greedy_max_coverage, lazy_greedy_max_coverage, GreedyResult};
-pub use oracle::{OracleConfig, OracleKind, SsoOracle};
+pub use oracle::{OracleConfig, OracleCounters, OracleKind, SsoOracle};
 pub use state::OracleState;
 pub use sieve::SieveStreaming;
 pub use swap::SwapStreaming;

@@ -60,6 +60,46 @@ impl Default for OracleConfig {
     }
 }
 
+/// What an oracle's elements came to: how many skipped the admission loop,
+/// were rejected by a cached bound, took a marginal-gain pass or were
+/// admitted (see the [`sieve`](crate::sieve) module docs).  Plain
+/// per-oracle counts since the oracle was built or restored; they are not
+/// persisted.  Sums over checkpoints with `+=` or [`Iterator::sum`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OracleCounters {
+    /// Elements processed.
+    pub elements: u64,
+    /// Elements whose whole admission loop was skipped: the singleton value
+    /// was below every open instance's threshold.
+    pub loop_skips: u64,
+    /// Admission tests rejected by a cached gain bound, without a pass over
+    /// the coverage.
+    pub bound_rejections: u64,
+    /// Marginal-gain passes over an instance's coverage.
+    pub gain_passes: u64,
+    /// Elements admitted as a seed of an instance.
+    pub admissions: u64,
+}
+
+impl std::ops::AddAssign for OracleCounters {
+    fn add_assign(&mut self, other: OracleCounters) {
+        self.elements += other.elements;
+        self.loop_skips += other.loop_skips;
+        self.bound_rejections += other.bound_rejections;
+        self.gain_passes += other.gain_passes;
+        self.admissions += other.admissions;
+    }
+}
+
+impl std::iter::Sum for OracleCounters {
+    fn sum<I: Iterator<Item = OracleCounters>>(iter: I) -> OracleCounters {
+        iter.fold(OracleCounters::default(), |mut total, c| {
+            total += c;
+            total
+        })
+    }
+}
+
 /// A streaming submodular optimization oracle over an append-only set-stream.
 pub trait SsoOracle: Send {
     /// Processes one element: candidate seed `key` together with its current
@@ -131,6 +171,15 @@ pub trait SsoOracle: Send {
     /// retained across all internal instances (instrumentation for the
     /// checkpoint-count/space experiments).
     fn retained_facts(&self) -> usize;
+
+    /// Outcome counters of the oracle's element loop (instrumentation).
+    /// The default reports only [`Self::elements_processed`].
+    fn counters(&self) -> OracleCounters {
+        OracleCounters {
+            elements: self.elements_processed(),
+            ..OracleCounters::default()
+        }
+    }
 
     /// The oracle's serializable state, if it supports durable snapshots.
     ///

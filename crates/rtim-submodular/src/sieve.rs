@@ -25,11 +25,69 @@
 //! a single `absorb_one` bit-set per instance (O(1) amortized instead of
 //! O(|I(u)|)) and maintains the element's singleton value incrementally; the
 //! admission branch keeps the word-level early-exit threshold test.
+//!
+//! ## Visiting only the instances that can change
+//!
+//! On a typical element almost every instance ends in a skip: it is full,
+//! its threshold exceeds the element's whole value, or it already rejected
+//! the same key and the key's set has barely grown since.  Three pieces of
+//! derived state let an element touch only the instances that can change.
+//! None of them alters an admission decision, so every value and seed list
+//! is bit-identical to visiting every instance; `tests/sieve_reference.rs`
+//! checks that after every element against the visit-every-instance loop.
+//!
+//! ### Seed-of index
+//!
+//! `seed_of` maps a key to the exponents of the instances that hold it as a
+//! seed.  A re-arriving seed is absorbed into exactly those instances, and a
+//! full instance is never visited for a key it does not hold.  Exactness:
+//! an instance takes the absorb branch iff the key is one of its seeds, and
+//! the index follows the only two events that change seed membership.  An
+//! admission adds the exponent; a grid refresh that drops an instance
+//! removes it from its seeds' entries.  Seeds never leave a live instance,
+//! and a refresh that drops nothing leaves the index alone.
+//!
+//! ### Open-threshold floor
+//!
+//! `open_floor` is a lower bound on the admission threshold
+//! `τ = (v/2 − f(S)) / (k − |S|)` over the instances that are not full.
+//! When it exceeds the element's singleton value, every open instance would
+//! skip the element on `τ > f({e})`, so the admission loop is skipped as a
+//! whole.  Exactness: the floor is built from [`Instance::threshold`], the
+//! same float expression as the per-instance test, so the skip is exactly
+//! the conjunction of the per-instance skips.  A live instance's τ changes
+//! only on an absorb or an admission, and the floor is lowered to the new τ
+//! after each, so it bounds every current τ without relying on rounding to
+//! keep τ monotone.  An instance filling or a grid refresh leaves the floor
+//! loose or misses new instances; either marks it stale, and the next
+//! element recomputes it over the open instances.
+//!
+//! ### Lazy rejected-gain bound
+//!
+//! Under the cardinality objective on the `process_grow` path, a rejection
+//! stores `d = Δ − |I(e)|` for the (instance, key) pair, where `Δ` is the
+//! rejected marginal gain.  `Δ` is exact: the early-exit gain only stops
+//! once it reaches the threshold, and a rejected gain never did (see
+//! `and_not_popcount_at_least`).  Later, `|I(e)| + d` bounds the current
+//! gain from above: the instance's coverage only grows, so the users the set
+//! held then contribute at most `Δ`, and each user it gained since weighs
+//! exactly 1.  When the bound is below τ the element is rejected without a
+//! coverage pass — the lazy evaluation of CELF (Leskovec et al., KDD 2007).
+//! An admission removes the pair's entry, and an instance frees its whole
+//! map when it fills.  Weighted objectives always take the full pass, and
+//! the full-set `process` path (whose set need not extend the last one fed)
+//! takes it too and drops the key's entries.
+//!
+//! All three are derived state and are not persisted:
+//! [`SieveStreaming::from_state`] rebuilds the index from the seed lists,
+//! starts the floor stale and the rejection caches cold, so the snapshot
+//! format is unchanged.  [`OracleCounters`] counts the outcomes.
 
 use crate::coverage::CoverageState;
-use crate::oracle::{OracleConfig, SsoOracle};
+use crate::oracle::{OracleConfig, OracleCounters, SsoOracle};
 use crate::singles::SingletonValues;
-use crate::weights::DenseWeights;
+use crate::weights::{DenseWeights, ElementWeight};
+use fxhash::FxHashMap;
 use rtim_stream::{InfluenceSet, UserId};
 use std::collections::BTreeMap;
 
@@ -40,13 +98,12 @@ struct Instance {
     opt_guess: f64,
     /// Selected seeds, in admission order.
     seeds: Vec<UserId>,
-    /// Membership index over `seeds`: every element's first touch per
-    /// instance is a seed test, and a linear `seeds.contains` scan (up to
-    /// `k` ids, across `O(log k / β)` instances) dominated the whole
-    /// process loop before this index existed.
-    seed_set: InfluenceSet,
     /// Union coverage of the seeds' sets with its value.
     coverage: CoverageState,
+    /// Lazy rejected-gain bounds: `gain − |I(key)|` at the key's last
+    /// rejection (cardinality objective, delta path only; see the module
+    /// docs).  Emptied when the instance fills.
+    rejected: FxHashMap<UserId, i32>,
 }
 
 impl Instance {
@@ -54,9 +111,18 @@ impl Instance {
         Instance {
             opt_guess,
             seeds: Vec::new(),
-            seed_set: InfluenceSet::new(),
             coverage: CoverageState::new(),
+            rejected: FxHashMap::default(),
         }
+    }
+
+    /// The admission threshold `(v/2 − f(S)) / (k − |S|)` of an instance
+    /// that is not full — the one expression both the per-instance test and
+    /// the open-threshold floor use.
+    #[inline]
+    fn threshold(&self, k: usize) -> f64 {
+        let remaining = (k - self.seeds.len()) as f64;
+        (self.opt_guess / 2.0 - self.coverage.value()) / remaining
     }
 }
 
@@ -80,10 +146,17 @@ pub struct SieveStreaming {
     frozen: Option<(Vec<UserId>, f64)>,
     /// Instances keyed by the exponent `j` of their guess `(1+β)^j`.
     instances: BTreeMap<i64, Instance>,
+    /// Seed-of index: key → exponents of the instances holding it as a seed.
+    seed_of: FxHashMap<UserId, Vec<i64>>,
+    /// Open-threshold floor: a lower bound on [`Instance::threshold`] over
+    /// the instances that are not full (`+∞` when none is); `None` while
+    /// stale.
+    open_floor: Option<f64>,
     /// Incrementally maintained singleton values `f({e})` per key (see
     /// [`crate::singles`]).
     singles: SingletonValues,
     elements: u64,
+    counters: OracleCounters,
 }
 
 impl SieveStreaming {
@@ -95,8 +168,11 @@ impl SieveStreaming {
             best_single: None,
             frozen: None,
             instances: BTreeMap::new(),
+            seed_of: FxHashMap::default(),
+            open_floor: None,
             singles: SingletonValues::new(),
             elements: 0,
+            counters: OracleCounters::default(),
         }
     }
 
@@ -106,8 +182,16 @@ impl SieveStreaming {
         self.instances.len()
     }
 
-    /// Rebuilds an oracle from persisted state (see [`crate::state`]).
+    /// Rebuilds an oracle from persisted state (see [`crate::state`]); the
+    /// seed-of index is rebuilt from the seed lists, the floor starts stale
+    /// and the rejection caches cold.
     pub(crate) fn from_state(config: OracleConfig, state: crate::state::SieveState) -> Self {
+        let mut seed_of: FxHashMap<UserId, Vec<i64>> = FxHashMap::default();
+        for inst in &state.instances {
+            for &seed in &inst.seeds {
+                seed_of.entry(seed).or_default().push(inst.exponent);
+            }
+        }
         SieveStreaming {
             config,
             max_single: state.max_single,
@@ -121,15 +205,18 @@ impl SieveStreaming {
                         inst.exponent,
                         Instance {
                             opt_guess: inst.parameter,
-                            seed_set: inst.seeds.iter().copied().collect(),
                             seeds: inst.seeds,
                             coverage: inst.coverage.restore(),
+                            rejected: FxHashMap::default(),
                         },
                     )
                 })
                 .collect(),
+            seed_of,
+            open_floor: None,
             singles: SingletonValues::from_entries(state.singles),
             elements: state.elements,
+            counters: OracleCounters::default(),
         }
     }
 
@@ -147,30 +234,55 @@ impl SieveStreaming {
         let hi = ((2.0 * self.config.k as f64 * self.max_single).ln() / base).floor() as i64;
         // Drop instances whose guess is now provably too small (< m),
         // freezing the best of their solutions so the oracle value cannot
-        // regress across a refresh.
-        let frozen_value = self.frozen.as_ref().map_or(0.0, |(_, v)| *v);
-        let mut best_dropped: Option<(Vec<UserId>, f64)> = None;
-        for (&j, inst) in &self.instances {
-            if j >= lo {
-                break;
+        // regress across a refresh, and unlinking their seeds from the
+        // seed-of index.
+        if self
+            .instances
+            .first_key_value()
+            .is_some_and(|(&j, _)| j < lo)
+        {
+            let kept = self.instances.split_off(&lo);
+            let dropped = std::mem::replace(&mut self.instances, kept);
+            let frozen_value = self.frozen.as_ref().map_or(0.0, |(_, v)| *v);
+            let mut best_dropped: Option<(Vec<UserId>, f64)> = None;
+            for (j, inst) in dropped {
+                for seed in &inst.seeds {
+                    if let Some(held) = self.seed_of.get_mut(seed) {
+                        held.retain(|&x| x != j);
+                        if held.is_empty() {
+                            self.seed_of.remove(seed);
+                        }
+                    }
+                }
+                let value = inst.coverage.value();
+                if value > frozen_value
+                    && best_dropped.as_ref().is_none_or(|(_, v)| value > *v)
+                {
+                    best_dropped = Some((inst.seeds, value));
+                }
             }
-            let value = inst.coverage.value();
-            if value > frozen_value
-                && best_dropped.as_ref().is_none_or(|(_, v)| value > *v)
-            {
-                best_dropped = Some((inst.seeds.clone(), value));
+            if best_dropped.is_some() {
+                self.frozen = best_dropped;
             }
         }
-        if best_dropped.is_some() {
-            self.frozen = best_dropped;
-        }
-        self.instances.retain(|&j, _| j >= lo);
         // Lazily create instances for new guesses.
         for j in lo..=hi {
             self.instances
                 .entry(j)
                 .or_insert_with(|| Instance::new((1.0 + self.config.beta).powi(j as i32)));
         }
+        self.open_floor = None;
+    }
+
+    /// The minimum [`Instance::threshold`] over the instances that are not
+    /// full (`+∞` when none is).
+    fn open_threshold_min(&self) -> f64 {
+        let k = self.config.k;
+        self.instances
+            .values()
+            .filter(|inst| inst.seeds.len() < k)
+            .map(|inst| inst.threshold(k))
+            .fold(f64::INFINITY, f64::min)
     }
 
     fn best_instance(&self) -> Option<&Instance> {
@@ -232,6 +344,7 @@ impl SieveStreaming {
         mut arena: Option<&mut rtim_stream::WordArena>,
     ) {
         self.elements += 1;
+        self.counters.elements += 1;
         let single = self.singles.value(key, set, weights, added);
         if single > self.max_single {
             self.max_single = single;
@@ -241,38 +354,76 @@ impl SieveStreaming {
             Some((_, v)) if *v >= single => {}
             _ => self.best_single = Some((key, single)),
         }
+        if added.is_none() {
+            // A full set need not extend the one last fed: every cached
+            // bound of this key is void.
+            for inst in self.instances.values_mut() {
+                inst.rejected.remove(&key);
+            }
+        }
 
         let k = self.config.k;
-        for inst in self.instances.values_mut() {
-            if inst.seed_set.contains(key) {
-                // Updated influence set of an existing seed: refresh in
-                // place — O(1) when the single-user delta is known.
-                match (added, arena.as_deref_mut()) {
-                    (Some(a), Some(arena)) => {
-                        inst.coverage.absorb_one_in(weights, a, arena);
-                    }
-                    (Some(a), None) => {
-                        inst.coverage.absorb_one(weights, a);
-                    }
-                    (None, Some(arena)) => {
-                        inst.coverage.absorb_in(weights, set, arena);
-                    }
-                    (None, None) => {
-                        inst.coverage.absorb(weights, set);
-                    }
+        let held: &[i64] = self.seed_of.get(&key).map_or(&[], Vec::as_slice);
+        // Updated influence set of an existing seed: refresh in place —
+        // O(1) when the single-user delta is known.
+        for j in held {
+            let inst = self
+                .instances
+                .get_mut(j)
+                .expect("seed-of index names a live instance");
+            match (added, arena.as_deref_mut()) {
+                (Some(a), Some(arena)) => {
+                    inst.coverage.absorb_one_in(weights, a, arena);
                 }
+                (Some(a), None) => {
+                    inst.coverage.absorb_one(weights, a);
+                }
+                (None, Some(arena)) => {
+                    inst.coverage.absorb_in(weights, set, arena);
+                }
+                (None, None) => {
+                    inst.coverage.absorb(weights, set);
+                }
+            }
+            if inst.seeds.len() < k {
+                lower_floor(&mut self.open_floor, inst.threshold(k));
+            }
+        }
+
+        let floor = match self.open_floor {
+            Some(floor) => floor,
+            None => {
+                let floor = self.open_threshold_min();
+                self.open_floor = Some(floor);
+                floor
+            }
+        };
+        if floor > single {
+            // Every open instance's threshold exceeds the whole element.
+            self.counters.loop_skips += 1;
+            return;
+        }
+
+        // The lazy bound needs unit weights and a one-user delta.
+        let size = (added.is_some() && weights.is_unit()).then(|| set.len() as i64);
+        let mut admitted: Vec<i64> = Vec::new();
+        for (&j, inst) in self.instances.iter_mut() {
+            if inst.seeds.len() >= k || held.contains(&j) {
                 continue;
             }
-            if inst.seeds.len() >= k {
-                continue;
-            }
-            let remaining = (k - inst.seeds.len()) as f64;
-            let threshold = (inst.opt_guess / 2.0 - inst.coverage.value()) / remaining;
+            let threshold = inst.threshold(k);
             if threshold > single {
                 // Even the whole element is below the threshold: skip the
                 // (more expensive) marginal computation.
                 continue;
             }
+            if let (Some(size), Some(&d)) = (size, inst.rejected.get(&key)) {
+                if ((size + i64::from(d)) as f64) < threshold {
+                    self.counters.bound_rejections += 1;
+                    continue;
+                }
+            }
+            self.counters.gain_passes += 1;
             let gain = if threshold <= 0.0 {
                 inst.coverage.marginal_gain(weights, set)
             } else {
@@ -289,9 +440,32 @@ impl SieveStreaming {
                     }
                 }
                 inst.seeds.push(key);
-                inst.seed_set.insert(key);
+                admitted.push(j);
+                self.counters.admissions += 1;
+                if inst.seeds.len() >= k {
+                    inst.rejected = FxHashMap::default();
+                    self.open_floor = None;
+                } else {
+                    inst.rejected.remove(&key);
+                    lower_floor(&mut self.open_floor, inst.threshold(k));
+                }
+            } else if let Some(size) = size {
+                // A rejected gain is exact (the early exit never fired).
+                inst.rejected.insert(key, (gain as i64 - size) as i32);
             }
         }
+        if !admitted.is_empty() {
+            self.seed_of.entry(key).or_default().extend(admitted);
+        }
+    }
+}
+
+/// Lowers a live open-threshold floor to `threshold`, the new threshold of
+/// an instance that changed; a stale floor is recomputed before its next use.
+#[inline]
+fn lower_floor(floor: &mut Option<f64>, threshold: f64) {
+    if let Some(floor) = floor {
+        *floor = floor.min(threshold);
     }
 }
 
@@ -345,6 +519,10 @@ impl SsoOracle for SieveStreaming {
 
     fn elements_processed(&self) -> u64 {
         self.elements
+    }
+
+    fn counters(&self) -> OracleCounters {
+        self.counters
     }
 
     fn retained_facts(&self) -> usize {
