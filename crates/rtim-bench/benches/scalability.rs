@@ -124,7 +124,7 @@ fn bench_feed_strategy(c: &mut Criterion) {
                     }
                     let mut total = 0.0;
                     for slide in &slides {
-                        total = pool.feed(slide, None).iter().map(|s| s.value).sum::<f64>();
+                        total = pool.feed(slide, None).iter().map(|(s, _)| s.value).sum::<f64>();
                     }
                     total
                 });

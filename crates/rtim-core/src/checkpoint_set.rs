@@ -35,9 +35,12 @@
 //!
 //! Either way the set mirrors each checkpoint's `(start, value, updates)`
 //! in an ordered list of [`CheckpointStat`]s, which is what the frameworks'
-//! pruning/eviction/query policies consume; full [`Solution`]s (seed sets)
-//! are fetched on demand.  Results are bit-identical across strategies —
-//! `tests/determinism.rs` asserts this property for 2–8 workers.
+//! pruning/eviction/query policies consume.  A full [`Solution`] is read
+//! on the calling thread at every pool width: inline checkpoints answer
+//! directly, and sharded ones from the seed lists their workers return
+//! with every feed, so a query never waits on a worker.  Results are
+//! bit-identical across strategies — `tests/determinism.rs` asserts this
+//! property for 2–8 workers.
 
 use crate::config::SimConfig;
 use crate::framework::{ResolvedAction, Solution};
@@ -53,8 +56,9 @@ enum Exec {
     /// into the next slide's set promotions (sharded execution keeps one
     /// arena per worker instead).
     Sequential(Vec<Checkpoint>, WordArena),
-    /// Sharded across persistent worker threads.
-    Sharded(ShardPool),
+    /// Sharded across persistent worker threads, with each checkpoint's
+    /// seed list as of its last feed, parallel to the stats list.
+    Sharded(ShardPool, Vec<Vec<UserId>>),
 }
 
 /// An ordered collection of checkpoints (oldest first) plus the strategy
@@ -92,7 +96,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
         let exec = if threads.max(1) == 1 {
             Exec::Sequential(Vec::new(), WordArena::new())
         } else {
-            Exec::Sharded(ShardPool::new(threads))
+            Exec::Sharded(ShardPool::new(threads), Vec::new())
         };
         let unit = weight.is_unit();
         CheckpointSet {
@@ -128,7 +132,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
     pub fn threads(&self) -> usize {
         match &self.exec {
             Exec::Sequential(..) => 1,
-            Exec::Sharded(pool) => pool.threads(),
+            Exec::Sharded(pool, _) => pool.threads(),
         }
     }
 
@@ -146,7 +150,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
                     ..PoolStats::default()
                 }
             }
-            Exec::Sharded(pool) => pool.stats(),
+            Exec::Sharded(pool, _) => pool.stats(),
         }
     }
 
@@ -156,14 +160,14 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
     pub fn shard_feed_reports(&self) -> &[WorkerFeedReport] {
         match &self.exec {
             Exec::Sequential(..) => &[],
-            Exec::Sharded(pool) => pool.last_feed_reports(),
+            Exec::Sharded(pool, _) => pool.last_feed_reports(),
         }
     }
 
     /// Reconfigures the backing pool's timing-driven placement (no-op
     /// under sequential execution).  See [`AdaptiveConfig`].
     pub fn set_adaptive(&mut self, config: AdaptiveConfig) {
-        if let Exec::Sharded(pool) = &mut self.exec {
+        if let Exec::Sharded(pool, _) = &mut self.exec {
             pool.set_adaptive(config);
         }
     }
@@ -224,17 +228,25 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
                 last.start
             );
         }
-        let checkpoint = Checkpoint::new(start, self.oracle, self.oracle_config);
+        self.adopt(Checkpoint::new(start, self.oracle, self.oracle_config));
+    }
+
+    /// Appends `checkpoint` (newest so far) to the stats list and to its
+    /// executor.
+    fn adopt(&mut self, checkpoint: Checkpoint) {
+        self.stats.push(CheckpointStat {
+            start: checkpoint.start(),
+            value: checkpoint.value(),
+            updates: checkpoint.updates(),
+            counters: checkpoint.counters(),
+        });
         match &mut self.exec {
             Exec::Sequential(list, _) => list.push(checkpoint),
-            Exec::Sharded(pool) => pool.add(checkpoint),
+            Exec::Sharded(pool, seeds) => {
+                seeds.push(checkpoint.solution().seeds);
+                pool.add(checkpoint);
+            }
         }
-        self.stats.push(CheckpointStat {
-            start,
-            value: 0.0,
-            updates: 0,
-            counters: OracleCounters::default(),
-        });
     }
 
     /// Feeds one slide of resolved actions to every live checkpoint and
@@ -261,7 +273,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
                 }
                 arena.end_slide();
             }
-            Exec::Sharded(pool) => {
+            Exec::Sharded(pool, seeds) => {
                 let delta: Option<&[f64]> = if self.unit {
                     None
                 } else {
@@ -269,7 +281,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
                 };
                 let fresh = pool.feed(slide, delta);
                 self.synced = self.dense_weights.len();
-                for stat in fresh {
+                for (stat, fed_seeds) in fresh {
                     // Starts are strictly increasing, so the ordered stats
                     // list is binary-searchable.
                     let i = self
@@ -277,6 +289,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
                         .binary_search_by_key(&stat.start, |s| s.start)
                         .expect("pool returned stats for an unknown checkpoint");
                     self.stats[i] = stat;
+                    seeds[i] = fed_seeds;
                 }
             }
         }
@@ -291,7 +304,10 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
                 // to the next slide's promotions.
                 list.remove(i).recycle_into(arena);
             }
-            Exec::Sharded(pool) => pool.remove(stat.start),
+            Exec::Sharded(pool, seeds) => {
+                seeds.remove(i);
+                pool.remove(stat.start);
+            }
         }
     }
 
@@ -335,27 +351,27 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
     ///
     /// Seeds are in the id space the set was fed with (dense ids when driven
     /// through the engine; the engine translates back to raw ids at its
-    /// query boundary).
+    /// query boundary).  Answered on the calling thread at every pool
+    /// width (see the [module docs](self)).
     pub fn solution(&self, i: usize) -> Solution {
         match &self.exec {
             Exec::Sequential(list, _) => list[i].solution(),
-            Exec::Sharded(pool) => pool.solution(self.stats[i].start),
+            Exec::Sharded(_, seeds) => Solution {
+                seeds: seeds[i].clone(),
+                value: self.stats[i].value,
+            },
         }
     }
 
     /// Captures the serializable state of every live checkpoint (shard
-    /// contents are fetched from their workers without moving them), plus
-    /// the dense weight table.  `None` if any checkpoint's oracle lacks
-    /// snapshot support.
+    /// contents are fetched from their workers, one round trip each,
+    /// without moving them), plus the dense weight table.  `None` if any
+    /// checkpoint's oracle lacks snapshot support.
     pub fn snapshot(&self) -> Option<crate::snapshot::CheckpointSetState> {
-        let mut checkpoints = Vec::with_capacity(self.stats.len());
-        for (i, stat) in self.stats.iter().enumerate() {
-            let state = match &self.exec {
-                Exec::Sequential(list, _) => list[i].snapshot(),
-                Exec::Sharded(pool) => pool.snapshot(stat.start),
-            }?;
-            checkpoints.push(state);
-        }
+        let checkpoints = match &self.exec {
+            Exec::Sequential(list, _) => list.iter().map(Checkpoint::snapshot).collect(),
+            Exec::Sharded(pool, _) => pool.snapshot(),
+        }?;
         Some(crate::snapshot::CheckpointSetState {
             identity_filled: self.identity_filled,
             dense_weights: self.dense_weights.clone(),
@@ -400,17 +416,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
                 }
             }
             last_start = Some(cp_state.start);
-            let checkpoint = Checkpoint::from_state(cp_state, oracle_config);
-            set.stats.push(CheckpointStat {
-                start: checkpoint.start(),
-                value: checkpoint.value(),
-                updates: checkpoint.updates(),
-                counters: checkpoint.counters(),
-            });
-            match &mut set.exec {
-                Exec::Sequential(list, _) => list.push(checkpoint),
-                Exec::Sharded(pool) => pool.add(checkpoint),
-            }
+            set.adopt(Checkpoint::from_state(cp_state, oracle_config));
         }
         Ok(set)
     }

@@ -10,17 +10,44 @@
 //! named in the roadmap):
 //!
 //! * producers hand action batches to an [`IngestSender`], which enqueues
-//!   them on a **bounded** `std::sync::mpsc` channel — when the queue is
-//!   full, [`IngestSender::try_ingest`] hands the batch back instead of
+//!   them on a **bounded** command queue — when the queue is full,
+//!   [`IngestSender::try_ingest`] hands the batch back instead of
 //!   blocking, so callers can reply with explicit backpressure;
 //! * a single engine thread owns the [`SimEngine`], dequeues commands in
 //!   arrival order, and drains batches through
 //!   [`SimEngine::ingest_batch_traced`] — the queue order *is* the stream
 //!   order;
-//! * queries and stats requests travel through the same queue, so a
-//!   producer that ingests then queries observes its own writes;
 //! * the engine thread also owns the durable state (journal, snapshot
 //!   writer, recovery), which lives in `durable.rs`.
+//!
+//! ## The reply path
+//!
+//! Nothing that answers a client waits on the engine thread unless it
+//! must:
+//!
+//! * **Published answer.**  After recovery and after every ingest batch
+//!   the engine thread computes the SIM answer once and publishes it next
+//!   to the count of commands it covers.  A query whose caller owes no
+//!   other reply is answered from that copy on the caller's thread when
+//!   the count covers every command enqueued so far
+//!   ([`IngestSender::published_answer`]); otherwise it is queued like
+//!   any other command, and the engine answers it from the same copy.
+//!   Either way the answer reflects every batch enqueued before the query
+//!   — a producer that ingests then queries observes its own writes, and
+//!   so does anyone who saw that ingest acknowledged.
+//! * **Doorbell.**  The engine thread sleeps on a doorbell rather than in
+//!   a channel receive.  An enqueue takes its queue position and counts as
+//!   enqueued at once, but the engine is woken only when the returned
+//!   [`Doorbell`] drops, so a front-end can write the batch's `ACK` first
+//!   ([`IngestSender::try_ingest_traced`]).  Exactly one enqueue after the
+//!   engine went to sleep holds a ringing doorbell; later enqueues find it
+//!   already claimed, so no wake-up is lost and none is spent on an
+//!   engine that is already running.
+//! * **Engine exit.**  When the engine thread ends — drained, or by a
+//!   panic — the queue closes: queued commands are dropped (their blocked
+//!   callers get [`HandleClosed`]), producers blocked on a full queue
+//!   return [`IngestError::Closed`], and the published answer is no longer
+//!   served.
 //!
 //! ## Id rebasing
 //!
@@ -53,9 +80,10 @@ use rtim_stream::{Action, ActionId, SocialStream};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Options of an [`EngineHandle`] pipeline.
 #[derive(Debug, Clone)]
@@ -140,7 +168,8 @@ pub struct EngineStats {
     pub oracle_updates: u64,
     /// Nanoseconds spent feeding slides (resolution + window + checkpoints).
     pub feed_nanos: u64,
-    /// Nanoseconds spent answering queries on the engine thread.
+    /// Nanoseconds spent answering queries, on whichever thread answered
+    /// them (see the module docs on the published answer).
     pub query_nanos: u64,
     /// Commands waiting in the queue when these stats were answered.
     pub queue_depth: u64,
@@ -384,69 +413,204 @@ enum Command {
     Shutdown,
 }
 
-/// Shared state between handle, senders and the engine thread: the queue
-/// counters, the metrics registry and the flight recorder (when tracing).
-///
-/// Queue depth is derived from two **monotone** counters — commands
-/// enqueued (bumped by producers after a successful send) and commands
-/// drained (published by the engine after each dequeue) — combined with a
-/// saturating subtraction.  A producer whose increment lags its send can
-/// only make the derived depth read transiently *low*; it can never wrap
-/// below zero or drift, which keeps the `max_queue_depth ≤ capacity`
-/// invariant exact.
-#[derive(Default)]
+/// The command queue and the published answer, behind one lock so a
+/// reader compares the answer's coverage with the enqueue count in one
+/// consistent view.
+struct QueueState {
+    commands: VecDeque<Command>,
+    /// Commands ever enqueued / dequeued; their difference is the depth,
+    /// which never exceeds the capacity.
+    enqueued: u64,
+    drained: u64,
+    /// The engine thread is asleep on the doorbell; the next enqueue takes
+    /// the duty of ringing it.
+    idle: bool,
+    /// Producers blocked on a full queue.
+    blocked: usize,
+    /// No more commands are accepted and no answer is served: the engine
+    /// thread has exited (drained, or panicked).
+    closed: bool,
+    /// The SIM answer as of the first `answered` commands; `None` until
+    /// recovery has finished.
+    answer: Option<Arc<Solution>>,
+    answered: u64,
+}
+
+/// Shared state between handle, senders and the engine thread: the
+/// bounded queue with its doorbell, the metrics registry and the flight
+/// recorder (when tracing).
 struct Shared {
-    /// Commands successfully enqueued, ever.
-    enqueued: AtomicU64,
-    /// Commands dequeued by the engine, ever.
-    drained: AtomicU64,
+    state: Mutex<QueueState>,
+    capacity: usize,
+    /// The engine thread waits here while the queue is empty.
+    bell: Condvar,
+    /// Producers blocked on a full queue wait here for a free slot.
+    room: Condvar,
     /// Next sender (source) id.
     next_source: AtomicU64,
+    /// Nanoseconds spent answering queries, on either path.
+    query_nanos: AtomicU64,
     metrics: Arc<EngineMetrics>,
     recorder: Option<Arc<FlightRecorder>>,
 }
 
 impl Shared {
-    /// Commands waiting in the queue right now (approximate, never
-    /// negative).
-    fn depth(&self) -> usize {
-        self.enqueued
-            .load(Ordering::Acquire)
-            .saturating_sub(self.drained.load(Ordering::Acquire)) as usize
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        // Nothing panics while holding the lock, so a poisoned state is
+        // still consistent.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Engine thread: counts one dequeue and returns the commands still
-    /// waiting behind it (0 = the pipeline kept up).  A producer whose
-    /// `enqueued` bump lags its send can only make this read low, never
-    /// wrap.
-    fn dequeued(&self) -> usize {
-        self.drained.fetch_add(1, Ordering::AcqRel);
-        self.depth()
+    /// Commands waiting in the queue right now.
+    fn depth(&self) -> usize {
+        self.lock().commands.len()
+    }
+
+    /// Engine thread: the next command and the commands still waiting
+    /// behind it (0 = the pipeline kept up), sleeping on the doorbell while
+    /// the queue is empty.  `None` once the queue is closed, or — when
+    /// `draining` — empty, which closes it.
+    fn next_command(&self, draining: bool) -> Option<(Command, usize)> {
+        let mut state = self.lock();
+        loop {
+            if let Some(command) = state.commands.pop_front() {
+                state.drained += 1;
+                // Everything before this command is processed and covered
+                // by the published answer.  Only an ingest changes the
+                // answer, and the engine republishes it after the batch.
+                if !matches!(command, Command::Ingest(..)) {
+                    state.answered = state.drained;
+                }
+                if state.blocked > 0 {
+                    self.room.notify_one();
+                }
+                return Some((command, state.commands.len()));
+            }
+            if draining || state.closed {
+                state.closed = true;
+                return None;
+            }
+            state.idle = true;
+            state = self.bell.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Engine thread: publishes the answer covering every command dequeued
+    /// so far.
+    fn publish_answer(&self, answer: Arc<Solution>) {
+        let mut state = self.lock();
+        state.answered = state.drained;
+        state.answer = Some(answer);
+    }
+
+    /// The published answer when it covers every command enqueued so far.
+    fn published(&self) -> Result<Option<Solution>, HandleClosed> {
+        let answer = {
+            let state = self.lock();
+            if state.closed {
+                return Err(HandleClosed);
+            }
+            if state.answered != state.enqueued {
+                return Ok(None);
+            }
+            state.answer.clone()
+        };
+        Ok(answer.map(|a| (*a).clone()))
+    }
+
+    /// Counts one answered query, whichever thread answered it.
+    fn record_query(&self, nanos: u64) {
+        self.query_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.metrics.record_query(nanos);
+    }
+
+    /// Engine thread, on exit (panic included): closes the queue, wakes
+    /// blocked producers and drops the queued commands, so every caller
+    /// waiting on one of them gets [`HandleClosed`].
+    fn close(&self) {
+        let dropped = {
+            let mut state = self.lock();
+            state.closed = true;
+            std::mem::take(&mut state.commands)
+        };
+        self.room.notify_all();
+        drop(dropped);
+    }
+}
+
+/// Wakes the engine thread when dropped, if the enqueue that returned it
+/// found the engine asleep (see the module docs).  Hold it across the
+/// write of the request's acknowledgement; drop it right after.
+#[must_use = "dropping the doorbell wakes the engine thread"]
+pub struct Doorbell(Option<Arc<Shared>>);
+
+impl Doorbell {
+    /// Wakes the engine now (same as dropping the doorbell).
+    pub fn ring(self) {}
+
+    /// One doorbell holding the duty of both: it wakes the engine when
+    /// dropped if either would have.
+    pub fn join(mut self, mut other: Doorbell) -> Doorbell {
+        Doorbell(self.0.take().or_else(|| other.0.take()))
+    }
+}
+
+impl Drop for Doorbell {
+    fn drop(&mut self) {
+        if let Some(shared) = self.0.take() {
+            shared.bell.notify_one();
+        }
+    }
+}
+
+impl std::fmt::Debug for Doorbell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Doorbell").field(&self.0.is_some()).finish()
+    }
+}
+
+/// Closes the queue when the engine thread ends, however it ends.
+struct CloseOnExit(Arc<Shared>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
 /// The producer end of the engine queue, shared by [`EngineHandle`],
 /// [`SenderSpawner`] and every [`IngestSender`]: every enqueue goes
-/// through [`Queue::send`], which keeps the depth counters exact.
+/// through [`Queue::send`].
 #[derive(Clone)]
 struct Queue {
-    tx: SyncSender<Command>,
     shared: Arc<Shared>,
 }
 
 impl Queue {
     /// Enqueues `command`, blocking while the queue is full when `block`
-    /// (a blocking send fails only as `Disconnected`).
-    fn send(&self, command: Command, block: bool) -> Result<(), TrySendError<Command>> {
-        if block {
-            self.tx
-                .send(command)
-                .map_err(|mpsc::SendError(c)| TrySendError::Disconnected(c))?;
-        } else {
-            self.tx.try_send(command)?;
+    /// (a blocking send fails only as `Disconnected`).  The engine is woken
+    /// when the returned doorbell drops.
+    fn send(&self, command: Command, block: bool) -> Result<Doorbell, TrySendError<Command>> {
+        let shared = &self.shared;
+        let mut state = shared.lock();
+        loop {
+            if state.closed {
+                return Err(TrySendError::Disconnected(command));
+            }
+            if state.commands.len() < shared.capacity {
+                break;
+            }
+            if !block {
+                return Err(TrySendError::Full(command));
+            }
+            state.blocked += 1;
+            state = shared.room.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.blocked -= 1;
         }
-        self.shared.enqueued.fetch_add(1, Ordering::AcqRel);
-        Ok(())
+        state.commands.push_back(command);
+        state.enqueued += 1;
+        let ring = std::mem::take(&mut state.idle);
+        Ok(Doorbell(ring.then(|| Arc::clone(shared))))
     }
 
     /// Sends an untraced request and waits for the engine's reply.
@@ -456,8 +620,30 @@ impl Queue {
     ) -> Result<T, HandleClosed> {
         let (reply_tx, reply_rx) = mpsc::channel();
         self.send(request(Reply::Channel(reply_tx), SpanCtx::default()), true)
+            .map(Doorbell::ring)
             .map_err(|_| HandleClosed)?;
         reply_rx.recv().map_err(|_| HandleClosed)
+    }
+
+    /// The published answer when it covers everything enqueued (counted
+    /// as an answered query), else `None`.
+    fn published_answer(&self) -> Result<Option<Solution>, HandleClosed> {
+        let started = Instant::now();
+        let answer = self.shared.published()?;
+        if answer.is_some() {
+            self.shared
+                .record_query(started.elapsed().as_nanos() as u64);
+        }
+        Ok(answer)
+    }
+
+    /// Answers the SIM query from the published answer when it covers
+    /// everything enqueued, else through the queue.
+    fn query(&self) -> Result<Solution, HandleClosed> {
+        match self.published_answer()? {
+            Some(solution) => Ok(solution),
+            None => self.round_trip(Command::Query),
+        }
     }
 }
 
@@ -500,16 +686,16 @@ impl IngestSender {
         actions: Vec<Action>,
         span: SpanCtx,
         block: bool,
-    ) -> Result<(), IngestError> {
+    ) -> Result<Doorbell, IngestError> {
         let Some(last) = actions.last().map(|a| a.id.0) else {
-            return Ok(());
+            return Ok(Doorbell(None));
         };
         self.validate(&actions)?;
         let command = Command::Ingest(self.source, actions, span);
         match self.queue.send(command, block) {
-            Ok(()) => {
+            Ok(bell) => {
                 self.last_id = last;
-                Ok(())
+                Ok(bell)
             }
             Err(TrySendError::Full(Command::Ingest(_, batch, _))) => Err(IngestError::Full(batch)),
             Err(TrySendError::Full(_)) => unreachable!("ingest command round-trips"),
@@ -521,23 +707,27 @@ impl IngestSender {
     /// handed back in [`IngestError::Full`] so the caller can retry or
     /// signal backpressure.  An empty batch is a no-op.
     pub fn try_ingest(&mut self, actions: Vec<Action>) -> Result<(), IngestError> {
-        self.enqueue(actions, SpanCtx::default(), false)
+        self.enqueue(actions, SpanCtx::default(), false).map(Doorbell::ring)
     }
 
-    /// [`IngestSender::try_ingest`] with a trace span context: the
+    /// [`IngestSender::try_ingest`] with a trace span context (the
     /// front-end stamps socket-readable/parse/enqueue times so the engine
-    /// thread can attribute queue wait and stage spans to the request.
+    /// thread can attribute queue wait and stage spans to the request),
+    /// which leaves the engine asleep until the returned [`Doorbell`]
+    /// drops.  The batch is queued and counted as enqueued on return, so a
+    /// front-end can acknowledge it before the engine competes for the
+    /// CPU.
     pub fn try_ingest_traced(
         &mut self,
         actions: Vec<Action>,
         span: SpanCtx,
-    ) -> Result<(), IngestError> {
+    ) -> Result<Doorbell, IngestError> {
         self.enqueue(actions, span, false)
     }
 
     /// Enqueues a batch, blocking while the queue is full.
     pub fn ingest(&mut self, actions: Vec<Action>) -> Result<(), IngestError> {
-        self.enqueue(actions, SpanCtx::default(), true)
+        self.enqueue(actions, SpanCtx::default(), true).map(Doorbell::ring)
     }
 
     /// [`IngestSender::ingest`] with a trace span context (see
@@ -547,13 +737,24 @@ impl IngestSender {
         actions: Vec<Action>,
         span: SpanCtx,
     ) -> Result<(), IngestError> {
-        self.enqueue(actions, span, true)
+        self.enqueue(actions, span, true).map(Doorbell::ring)
     }
 
     /// Answers the SIM query (ordered after everything this sender already
-    /// enqueued; blocks while the queue is full).
+    /// enqueued; blocks while the queue is full).  Answered from the
+    /// published answer without entering the queue when that covers every
+    /// command enqueued so far.
     pub fn query(&self) -> Result<Solution, HandleClosed> {
-        self.queue.round_trip(Command::Query)
+        self.queue.query()
+    }
+
+    /// The published answer if it covers every command enqueued so far,
+    /// else `Ok(None)`: the caller then queues the query
+    /// ([`IngestSender::try_request`]).  A front-end may use it only for a
+    /// requester that owes no earlier reply, so replies stay in order.
+    /// A returned answer counts as one answered query.
+    pub fn published_answer(&self) -> Result<Option<Solution>, HandleClosed> {
+        self.queue.published_answer()
     }
 
     /// Reports aggregate pipeline counters.
@@ -585,10 +786,14 @@ impl IngestSender {
             Request::Stats => Command::Stats(Reply::Sink { token, sink }, span),
             Request::Snapshot => Command::Snapshot(Reply::Sink { token, sink }, span),
         };
-        self.queue.send(command, false).map_err(|e| match e {
-            TrySendError::Full(_) => AsyncRequestError::Full,
-            TrySendError::Disconnected(_) => AsyncRequestError::Closed,
-        })
+        match self.queue.send(command, false) {
+            Ok(bell) => {
+                bell.ring();
+                Ok(())
+            }
+            Err(TrySendError::Full(_)) => Err(AsyncRequestError::Full),
+            Err(TrySendError::Disconnected(_)) => Err(AsyncRequestError::Closed),
+        }
     }
 
     /// Commands waiting in the queue right now (approximate).
@@ -661,7 +866,6 @@ impl EngineHandle {
     /// Spawns the engine thread and returns the pipeline handle.
     pub fn spawn(config: SimConfig, kind: FrameworkKind, options: HandleOptions) -> Self {
         let capacity = options.capacity.max(1);
-        let (tx, rx) = mpsc::sync_channel(capacity);
         // With tracing disabled (by config or by compiling out the `trace`
         // feature) no recorder exists and every instrumentation site in
         // the engine loop stays on its `None` arm — the zero-allocation
@@ -669,16 +873,34 @@ impl EngineHandle {
         let trace = options.trace;
         let recorder = trace.is_enabled().then(|| FlightRecorder::new(trace));
         let shared = Arc::new(Shared {
+            state: Mutex::new(QueueState {
+                commands: VecDeque::with_capacity(capacity),
+                enqueued: 0,
+                drained: 0,
+                idle: false,
+                blocked: 0,
+                closed: false,
+                answer: None,
+                answered: 0,
+            }),
+            capacity,
+            bell: Condvar::new(),
+            room: Condvar::new(),
+            next_source: AtomicU64::new(0),
+            query_nanos: AtomicU64::new(0),
+            metrics: Arc::default(),
             recorder,
-            ..Shared::default()
         });
         let engine_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("rtim-engine".into())
-            .spawn(move || engine_loop(config, kind, options, rx, engine_shared))
+            .spawn(move || {
+                let _close = CloseOnExit(Arc::clone(&engine_shared));
+                engine_loop(config, kind, options, &engine_shared)
+            })
             .expect("spawn engine thread");
         EngineHandle {
-            queue: Queue { tx, shared },
+            queue: Queue { shared },
             thread: Some(thread),
             capacity,
         }
@@ -722,9 +944,10 @@ impl EngineHandle {
         self.queue.shared.depth()
     }
 
-    /// Answers the SIM query for the current window.
+    /// Answers the SIM query for the current window (from the published
+    /// answer when it covers every command enqueued so far).
     pub fn query(&self) -> Result<Solution, HandleClosed> {
-        self.queue.round_trip(Command::Query)
+        self.queue.query()
     }
 
     /// Reports aggregate pipeline counters.
@@ -744,21 +967,27 @@ impl EngineHandle {
     /// batches that racing senders managed to enqueue before the drain
     /// caught up), then exits; later sends fail with
     /// [`IngestError::Closed`] / [`HandleClosed`].
+    ///
+    /// # Panics
+    /// Panics if the engine thread panicked.
     pub fn shutdown(mut self) -> EngineReport {
-        self.shutdown_inner().expect("engine thread already joined")
+        let joined = self.shutdown_inner().expect("engine thread already joined");
+        joined.expect("engine thread panicked")
     }
 
-    fn shutdown_inner(&mut self) -> Option<EngineReport> {
+    fn shutdown_inner(&mut self) -> Option<std::thread::Result<EngineReport>> {
         let thread = self.thread.take()?;
+        // A closed queue means the engine already exited.
         let _ = self.queue.send(Command::Shutdown, true);
-        Some(thread.join().expect("engine thread panicked"))
+        Some(thread.join())
     }
 }
 
 impl Drop for EngineHandle {
     fn drop(&mut self) {
         // A handle dropped without `shutdown()` still drains and joins, so
-        // no engine thread is ever leaked mid-batch.
+        // no engine thread is ever leaked mid-batch; an engine panic was
+        // already reported on its own thread.
         let _ = self.shutdown_inner();
     }
 }
@@ -828,13 +1057,15 @@ fn engine_loop(
     config: SimConfig,
     kind: FrameworkKind,
     options: HandleOptions,
-    rx: Receiver<Command>,
-    shared: Arc<Shared>,
+    shared: &Shared,
 ) -> EngineReport {
     let (metrics, recorder) = (&shared.metrics, &shared.recorder);
     let persistent = options.persist.is_some();
     let (mut engine, watermark, mut persistence) =
         Persistence::open(config, kind, options.persist.clone());
+    // Queries are served only from here on: never a pre-recovery answer.
+    let mut answer = Arc::new(engine.query());
+    shared.publish_answer(Arc::clone(&answer));
     // Continuity after recovery: global ids continue past the journal,
     // actions/slides count everything the engine state covers (batches
     // count from this process start).
@@ -860,14 +1091,8 @@ fn engine_loop(
     // cumulative counter across batches.
     let mut seen_migrations: u64 = engine.pool_stats().migrations;
 
-    // A drain ends at the first empty poll; `recv` fails only once every
-    // sender and the handle are gone.
-    while let Some(command) = if draining {
-        rx.try_recv().ok()
-    } else {
-        rx.recv().ok()
-    } {
-        let observed = shared.dequeued();
+    // A drain ends at the first empty poll.
+    while let Some((command, observed)) = shared.next_command(draining) {
         stats.max_queue_depth = stats.max_queue_depth.max(observed as u64);
         persistence.drain_completions();
         let t_dequeue = clock.now_nanos();
@@ -882,6 +1107,12 @@ fn engine_loop(
                 let rearmed = persistence.journal(&rebased);
                 let t_journaled = clock.now_nanos();
                 let (reports, breakdown) = engine.ingest_batch_traced(&rebased);
+                // The answer is computed once per batch and published for
+                // every query until the next one.
+                let t_fed = clock.now_nanos();
+                answer = Arc::new(engine.query());
+                shared.publish_answer(Arc::clone(&answer));
+                let answer_nanos = clock.now_nanos() - t_fed;
                 stats.batches += 1;
                 stats.actions += rebased.len() as u64;
                 stats.slides += reports.len() as u64;
@@ -918,6 +1149,7 @@ fn engine_loop(
                         (TraceStage::JournalAppend, journal_nanos),
                         (TraceStage::Resolve, breakdown.resolve_nanos),
                         (TraceStage::ShardFeed, breakdown.feed_nanos),
+                        (TraceStage::OracleQuery, answer_nanos),
                         (TraceStage::SnapshotDispatch, snapshot_nanos),
                     ];
                     t.request(span, t_dequeue, &stages);
@@ -925,20 +1157,19 @@ fn engine_loop(
                 // Refreshes the scrape-facing gauges after every batch, so
                 // `/metrics` reflects the pipeline without ever sending a
                 // command through the queue.
-                publish(&mut stats, &engine, &persistence, &shared);
+                publish(&mut stats, &engine, &persistence, shared);
             }
             Command::Query(reply, span) => {
-                let solution = engine.query();
+                let solution = (*answer).clone();
                 let nanos = clock.now_nanos() - t_dequeue;
-                stats.query_nanos = stats.query_nanos.saturating_add(nanos);
-                metrics.record_query(nanos);
+                shared.record_query(nanos);
                 if let Some(t) = &mut tracer {
                     t.request(span, t_dequeue, &[(TraceStage::OracleQuery, nanos)]);
                 }
                 reply.send(solution);
             }
             Command::Stats(reply, span) => {
-                publish(&mut stats, &engine, &persistence, &shared);
+                publish(&mut stats, &engine, &persistence, shared);
                 if let Some(t) = &mut tracer {
                     t.request(span, t_dequeue, &[]);
                 }
@@ -975,10 +1206,10 @@ fn engine_loop(
     // the report reflects the closing durability state (a failed final
     // sync shows up as degraded).
     persistence.shutdown();
-    publish(&mut stats, &engine, &persistence, &shared);
+    publish(&mut stats, &engine, &persistence, shared);
     EngineReport {
         stats,
-        final_solution: engine.query(),
+        final_solution: (*answer).clone(),
         // Rebased ids are strictly increasing and parents resolve to
         // earlier assigned ids, so the journal is valid by construction.
         journal: options.journal.then(|| SocialStream::new_unchecked(journal)),
@@ -991,6 +1222,7 @@ fn engine_loop(
 /// instant and stores the copy every STATS answer and `/metrics` engine
 /// gauge reads.
 fn publish(stats: &mut EngineStats, engine: &SimEngine, durable: &Persistence, shared: &Shared) {
+    stats.query_nanos = shared.query_nanos.load(Ordering::Relaxed);
     stats.checkpoints = engine.checkpoint_count() as u64;
     stats.oracle_updates = engine.oracle_updates();
     stats.users = engine.interner().len() as u64;

@@ -94,7 +94,7 @@ pub use config::SimConfig;
 pub use engine::{FeedBreakdown, RunReport, SimEngine, SlideReport};
 pub use framework::{Framework, FrameworkKind, ResolvedAction, Solution};
 pub use handle::{
-    AsyncRequestError, Completion, CompletionPayload, CompletionSink, DurabilityState,
+    AsyncRequestError, Completion, CompletionPayload, CompletionSink, Doorbell, DurabilityState,
     EngineHandle, EngineReport, EngineStats, FsyncPolicy, HandleClosed, HandleOptions,
     IngestError, IngestSender, PersistOptions, Request, SenderSpawner, SnapshotInfo,
     SnapshotRequestError, JOURNAL_FILE, RECENT_SLIDES, SNAPSHOT_FILE,

@@ -17,8 +17,9 @@
 //!   *exactly* the last `W` slides, mirroring the engine's own
 //!   sliding-window semantics instead of wall-clock decay.
 //! * [`EngineMetrics`] — the registry: sliding histograms for feed time,
-//!   query time and observed ingest-queue depth (engine thread only, one
-//!   short mutex hold per slide), plain atomic counters for the
+//!   query time and observed ingest-queue depth (rotated by the engine
+//!   thread, one short mutex hold per slide; a query answered from the
+//!   published answer records from its own thread), plain atomic counters for the
 //!   front-end events that never touch the engine thread (parked
 //!   requests, connection churn), and one copy of the latest
 //!   [`EngineStats`], stored under the same mutex after every batch.
@@ -306,7 +307,7 @@ impl EngineMetrics {
         inner.depth.rotate();
     }
 
-    /// Engine thread: one answered query took `nanos`.
+    /// One answered query took `nanos` (on whichever thread answered it).
     pub fn record_query(&self, nanos: u64) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.locked().query.record(nanos);
@@ -512,8 +513,8 @@ impl EngineMetrics {
         for (name, help, value) in gauges {
             render_scalar(&mut out, name, help, "gauge", value);
         }
-        // Sums over the live checkpoints, like `rtim_oracle_updates_total`:
-        // they fall when a checkpoint expires, hence gauges.
+        // Sums over the live checkpoints, like `rtim_oracle_updates_total`
+        // above: they fall when a checkpoint expires, hence gauges.
         let outcomes: [(&str, &str, u64); 5] = [
             (
                 "rtim_oracle_elements_total",
@@ -701,6 +702,19 @@ mod tests {
         assert!(text.contains("# TYPE rtim_feed_nanos summary"));
         assert!(text.contains("# TYPE rtim_actions_total counter"));
         assert!(text.contains("# TYPE rtim_durability_state gauge"));
+        // The live-checkpoint oracle sums fall when a checkpoint expires,
+        // so they are gauges whatever their suffix says.
+        for name in [
+            "rtim_oracle_updates_total",
+            "rtim_oracle_elements_total",
+            "rtim_oracle_loop_skips_total",
+            "rtim_oracle_bound_rejections_total",
+            "rtim_oracle_gain_passes_total",
+            "rtim_oracle_admissions_total",
+        ] {
+            let type_line = format!("# TYPE {name} gauge");
+            assert!(text.contains(&type_line), "missing {type_line:?}");
+        }
         // Every sample line is `name[{labels}] value` with a numeric value.
         for line in text.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
             let (_, value) = line.rsplit_once(' ').expect("sample line without value");

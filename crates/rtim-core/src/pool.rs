@@ -20,8 +20,9 @@
 //!   one allocation per slide, shared by every shard, never cloned per
 //!   checkpoint.  Workers reply with per-checkpoint
 //!   [`CheckpointStat`]s (start, value, update count), which is all the
-//!   frameworks need for pruning/eviction decisions; full solutions (seed
-//!   sets) are fetched on demand by [`ShardPool::solution`].
+//!   frameworks need for pruning/eviction decisions, plus each
+//!   checkpoint's seed list — so answering a query never crosses a worker
+//!   channel.
 //! * New checkpoints go to the least-loaded worker (lowest index on ties),
 //!   and [`ShardPool::remove`] rebalances whenever shard sizes drift apart
 //!   by ≥ 3 — SIC's pruning and IC's rotation both delete checkpoints in
@@ -62,9 +63,10 @@
 //! worker panic is re-raised on the caller's thread at that point (unless
 //! the caller is already panicking).
 
-use crate::framework::{ResolvedAction, Solution};
+use crate::framework::ResolvedAction;
+use crate::snapshot::CheckpointState;
 use crate::ssm::Checkpoint;
-use rtim_stream::WordArena;
+use rtim_stream::{UserId, WordArena};
 use rtim_submodular::{DenseWeights, OracleCounters};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -169,11 +171,12 @@ pub struct WorkerFeedReport {
 /// Messages from the pool to a worker.
 enum ShardMsg {
     /// Process a slide against every checkpoint in the shard and reply with
-    /// `ShardReply::Fed`.  The second field is the element-weight update:
-    /// `None` for the cardinality objective, `Some(delta)` to append the
-    /// dense weights of users interned since the previous feed to the
-    /// worker's local weight table (every worker maintains an identical
-    /// copy; deltas are broadcast once as a shared allocation).
+    /// `ShardReply::Fed` (stats and seed lists).  The second field is the
+    /// element-weight update: `None` for the cardinality objective,
+    /// `Some(delta)` to append the dense weights of users interned since
+    /// the previous feed to the worker's local weight table (every worker
+    /// maintains an identical copy; deltas are broadcast once as a shared
+    /// allocation).
     Feed(Arc<[ResolvedAction]>, Option<Arc<[f64]>>),
     /// Adopt a checkpoint into the shard (no reply).
     Add(Box<Checkpoint>),
@@ -182,24 +185,21 @@ enum ShardMsg {
     /// Remove the checkpoint with this start id and send it back
     /// (`ShardReply::Extracted`) — used for rebalancing.
     Extract(u64),
-    /// Reply with the solution of the checkpoint with this start id.
-    Query(u64),
-    /// Reply with the serializable state of the checkpoint with this start
-    /// id (`None` if its oracle lacks snapshot support).
-    Snapshot(u64),
+    /// Reply with the serializable state of every checkpoint in the shard
+    /// (`None` if any oracle lacks snapshot support).
+    Snapshot,
     /// Exit the worker loop.
     Shutdown,
 }
 
 /// Replies from a worker to the pool.
 enum ShardReply {
-    /// Per-checkpoint stats plus the worker's feed report (span nanos for
-    /// the adaptive placement and trace spans, arena counters for the
-    /// allocation gauges).
-    Fed(Vec<CheckpointStat>, WorkerFeedReport),
+    /// Per-checkpoint stats and seed lists plus the worker's feed report
+    /// (span nanos for the adaptive placement and trace spans, arena
+    /// counters for the allocation gauges).
+    Fed(Vec<(CheckpointStat, Vec<UserId>)>, WorkerFeedReport),
     Extracted(Box<Checkpoint>),
-    Solution(Box<Solution>),
-    Snapshot(Box<Option<crate::snapshot::CheckpointState>>),
+    Snapshot(Option<Vec<CheckpointState>>),
 }
 
 struct Worker {
@@ -324,8 +324,8 @@ impl ShardPool {
         self.counts[target] += 1;
     }
 
-    /// Broadcasts one slide to every shard and gathers the per-checkpoint
-    /// stats (in no particular order — keyed by `start`).
+    /// Broadcasts one slide to every shard and gathers each checkpoint's
+    /// stats and seed list (in no particular order — keyed by `start`).
     ///
     /// `weight_delta` is `None` for the cardinality objective; for weighted
     /// objectives it carries the dense weights of users interned since the
@@ -334,7 +334,7 @@ impl ShardPool {
         &mut self,
         slide: &[ResolvedAction],
         weight_delta: Option<&[f64]>,
-    ) -> Vec<CheckpointStat> {
+    ) -> Vec<(CheckpointStat, Vec<UserId>)> {
         let shared: Arc<[ResolvedAction]> = slide.into();
         let shared_delta: Option<Arc<[f64]>> = weight_delta.map(Into::into);
         for i in 0..self.workers.len() {
@@ -451,38 +451,27 @@ impl ShardPool {
         self.rebalance();
     }
 
-    /// Fetches the serializable state of the checkpoint with the given
-    /// start id (without moving it out of its shard); `None` if its oracle
+    /// Captures the serializable state of every pooled checkpoint, oldest
+    /// first, without moving any out of its shard: one round trip per
+    /// worker, all workers in parallel.  `None` if any checkpoint's oracle
     /// lacks snapshot support.
-    pub fn snapshot(&self, start: u64) -> Option<crate::snapshot::CheckpointState> {
-        let worker = *self
-            .assignment
-            .get(&start)
-            .expect("snapshotting a checkpoint the pool does not own");
-        self.workers[worker]
-            .tx
-            .send(ShardMsg::Snapshot(start))
-            .expect("shard worker hung up");
-        match self.recv(worker) {
-            ShardReply::Snapshot(s) => *s,
-            _ => unreachable!("worker answered Snapshot with a non-Snapshot reply"),
+    pub fn snapshot(&self) -> Option<Vec<CheckpointState>> {
+        for i in 0..self.workers.len() {
+            self.send(i, ShardMsg::Snapshot);
         }
-    }
-
-    /// Fetches the full solution of the checkpoint with the given start id.
-    pub fn solution(&self, start: u64) -> Solution {
-        let worker = *self
-            .assignment
-            .get(&start)
-            .expect("querying a checkpoint the pool does not own");
-        self.workers[worker]
-            .tx
-            .send(ShardMsg::Query(start))
-            .expect("shard worker hung up");
-        match self.recv(worker) {
-            ShardReply::Solution(s) => *s,
-            _ => unreachable!("worker answered Query with a non-Solution reply"),
+        let mut states = Vec::with_capacity(self.assignment.len());
+        let mut supported = true;
+        // Every reply is collected even after a `None`, so no answer is
+        // left behind in a worker channel.
+        for i in 0..self.workers.len() {
+            match self.recv(i) {
+                ShardReply::Snapshot(Some(shard)) => states.extend(shard),
+                ShardReply::Snapshot(None) => supported = false,
+                _ => unreachable!("worker answered Snapshot with a non-Snapshot reply"),
+            }
         }
+        states.sort_unstable_by_key(|s| s.start);
+        supported.then_some(states)
     }
 
     /// Index of the worker owning the fewest checkpoints.
@@ -594,12 +583,13 @@ fn worker_loop(rx: Receiver<ShardMsg>, tx: Sender<ShardReply>) {
                     for action in slide.iter() {
                         cp.process_in(action, &weights, &mut arena);
                     }
-                    stats.push(CheckpointStat {
+                    let stat = CheckpointStat {
                         start: cp.start(),
                         value: cp.value(),
                         updates: cp.updates(),
                         counters: cp.counters(),
-                    });
+                    };
+                    stats.push((stat, cp.solution().seeds));
                 }
                 arena.end_slide();
                 let (arena_takes, arena_hits) = arena.stats();
@@ -628,21 +618,9 @@ fn worker_loop(rx: Receiver<ShardMsg>, tx: Sender<ShardReply>) {
                     break;
                 }
             }
-            ShardMsg::Query(start) => {
-                let cp = shard
-                    .iter()
-                    .find(|c| c.start() == start)
-                    .expect("querying a checkpoint this shard does not own");
-                if tx.send(ShardReply::Solution(Box::new(cp.solution()))).is_err() {
-                    break;
-                }
-            }
-            ShardMsg::Snapshot(start) => {
-                let cp = shard
-                    .iter()
-                    .find(|c| c.start() == start)
-                    .expect("snapshotting a checkpoint this shard does not own");
-                if tx.send(ShardReply::Snapshot(Box::new(cp.snapshot()))).is_err() {
+            ShardMsg::Snapshot => {
+                let states = shard.iter().map(Checkpoint::snapshot).collect();
+                if tx.send(ShardReply::Snapshot(states)).is_err() {
                     break;
                 }
             }
@@ -712,8 +690,8 @@ mod tests {
                 pool.add(checkpoint(1 + i as u64, 1 + (i % 4)));
             }
             let mut stats = pool.feed(fed, None);
-            stats.sort_by_key(|s| s.start);
-            for (got, want) in stats.iter().zip(&expected) {
+            stats.sort_by_key(|(s, _)| s.start);
+            for ((got, _), want) in stats.iter().zip(&expected) {
                 assert_eq!(got.start, want.start);
                 assert_eq!(got.value.to_bits(), want.value.to_bits());
                 assert_eq!(got.updates, want.updates);
@@ -755,22 +733,54 @@ mod tests {
         let min = *pool.counts.iter().min().unwrap();
         assert!(max - min <= 1, "counts: {:?}", pool.counts);
         assert_eq!(pool.checkpoint_count(), 5);
-        // The moved checkpoints still answer queries.
-        for (&start, _) in pool.assignment.clone().iter() {
-            let _ = pool.solution(start);
+        // The moved checkpoints are still fed and still report.
+        let mut fed: Vec<u64> = pool.feed(&slide()[8..], None).iter().map(|(s, _)| s.start).collect();
+        fed.sort_unstable();
+        let mut owned: Vec<u64> = pool.assignment.keys().copied().collect();
+        owned.sort_unstable();
+        assert_eq!(fed, owned);
+    }
+
+    #[test]
+    fn fed_replies_carry_each_checkpoints_seeds() {
+        let slide = slide();
+        let fed = &slide[1..]; // ids 2..=40, observable by both
+        let mut pool = ShardPool::new(2);
+        pool.add(checkpoint(1, 2));
+        pool.add(checkpoint(2, 2));
+        for (stat, seeds) in pool.feed(fed, None) {
+            let mut cp = checkpoint(stat.start, 2);
+            for a in fed {
+                cp.process(a, &DenseWeights::Unit);
+            }
+            let want = cp.solution();
+            assert!(want.value > 0.0 && !want.seeds.is_empty());
+            assert_eq!(seeds, want.seeds);
+            assert_eq!(stat.value.to_bits(), want.value.to_bits());
         }
     }
 
     #[test]
-    fn solution_round_trips_through_the_owning_worker() {
-        let mut pool = ShardPool::new(2);
-        pool.add(checkpoint(1, 2));
-        pool.add(checkpoint(2, 2));
+    fn snapshot_gathers_every_shard_oldest_first() {
         let slide = slide();
-        pool.feed(&slide[1..], None); // ids 2..=40, observable by both
-        let s = pool.solution(1);
-        assert!(s.value > 0.0);
-        assert!(!s.seeds.is_empty());
+        let fed = &slide[6..];
+        let mut pool = ShardPool::new(3);
+        for i in 0..7u64 {
+            pool.add(checkpoint(i + 1, 2));
+        }
+        pool.feed(fed, None);
+        let states = pool.snapshot().expect("sieve checkpoints snapshot");
+        let starts: Vec<u64> = states.iter().map(|s| s.start).collect();
+        assert_eq!(starts, (1..=7).collect::<Vec<u64>>());
+        for state in states {
+            let mut cp = checkpoint(state.start, 2);
+            for a in fed {
+                cp.process(a, &DenseWeights::Unit);
+            }
+            let restored = Checkpoint::from_state(state, OracleConfig::new(2, 0.2));
+            assert_eq!(restored.solution(), cp.solution());
+            assert_eq!(restored.updates(), cp.updates());
+        }
     }
 
     #[test]
@@ -798,8 +808,9 @@ mod tests {
         for i in 0..3usize {
             pool.add(checkpoint(1 + i as u64, 1 + (i % 4)));
         }
+        let mut last = Vec::new();
         for _ in 0..rounds {
-            pool.feed(fed, None);
+            last = pool.feed(fed, None);
         }
         let stats = pool.stats();
         assert!(stats.migrations >= 1, "no migration in {rounds} rounds");
@@ -810,11 +821,13 @@ mod tests {
         let max = *pool.counts.iter().max().unwrap();
         let min = *pool.counts.iter().min().unwrap();
         assert!(max - min <= 2, "counts: {:?}", pool.counts);
-        for cp in &seq {
-            let s = pool.solution(cp.start());
+        last.sort_by_key(|(s, _)| s.start);
+        assert_eq!(last.len(), seq.len());
+        for ((stat, seeds), cp) in last.iter().zip(&seq) {
             let want = cp.solution();
-            assert_eq!(s.seeds, want.seeds);
-            assert_eq!(s.value.to_bits(), want.value.to_bits());
+            assert_eq!(stat.start, cp.start());
+            assert_eq!(*seeds, want.seeds);
+            assert_eq!(stat.value.to_bits(), want.value.to_bits());
         }
     }
 

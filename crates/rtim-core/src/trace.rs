@@ -248,7 +248,7 @@ impl TraceWriter {
     /// when present, else at the enqueue stamp, else at `dequeue_nanos` —
     /// so the per-stage durations (disjoint sub-intervals measured against
     /// the recorder epoch) always sum to at most the recorded total.
-    pub(crate) fn request(
+    pub fn request(
         &mut self,
         span: SpanCtx,
         dequeue_nanos: u64,

@@ -4,9 +4,10 @@
 //!
 //! ```text
 //!  client ─┐                       ┌─ poll ── loop thread 0 (+ listener) ─┐
-//!  client ─┼─ non-blocking sockets ┤                                      ├─ bounded mpsc ─ engine thread
+//!  client ─┼─ non-blocking sockets ┤                                      ├─ bounded queue ─ engine thread
 //!  client ─┘                       └─ poll ── loop thread 1 ──────────────┘
 //!            completions (self-pipe wakeup) ◄──────────────────────────────┘
+//!            published answer (read inline) ◄──────────────────────────────┘
 //! ```
 //!
 //! Each connection lives on exactly one loop thread as an explicit state
@@ -16,11 +17,20 @@
 //! with no intermediate payload copy), and replies are appended to a
 //! per-connection outbound buffer that drains opportunistically, with
 //! `POLLOUT` interest only while bytes remain.  Requests that need the
-//! engine travel the same bounded queue as ever: `ACK`s are written at
-//! enqueue time, while `QUERY`/`STATS`/`SNAPSHOT` results come back on a
-//! per-thread completion channel whose sender wakes the loop through a
-//! self-pipe registered in the poll set, carrying a token that routes the
-//! reply to its connection and correlation id.
+//! engine travel the same bounded queue as ever, and the loop keeps the
+//! engine thread off the reply path wherever the ordering allows:
+//!
+//! * an `INGEST` takes its queue position, its `ACK` is written to the
+//!   socket, and only then is the engine woken (the enqueue's
+//!   [`Doorbell`] is held to the end of the read pass);
+//! * a `QUERY` on a connection that owes no other reply is answered
+//!   inline from the engine's published answer when that covers every
+//!   command enqueued so far ([`IngestSender::published_answer`]);
+//! * everything else — and a `QUERY` the published answer does not yet
+//!   cover — comes back on a per-thread completion channel whose sender
+//!   wakes the loop through a self-pipe registered in the poll set,
+//!   carrying a token that routes the reply to its connection and
+//!   correlation id.
 //!
 //! **Backpressure** never answers `BUSY` (the protocol reserves that
 //! frame, but this server never sends it).  A pipelined client may have
@@ -44,7 +54,7 @@ use crate::protocol::{
     encode_frame_into, parse_error_consumed, parse_frame, Frame, PROTOCOL_VERSION,
 };
 use rtim_core::{
-    AsyncRequestError, Completion, CompletionPayload, CompletionSink, EngineMetrics,
+    AsyncRequestError, Completion, CompletionPayload, CompletionSink, Doorbell, EngineMetrics,
     FlightRecorder, IngestError, IngestSender, Request, SenderSpawner, SpanCtx, TraceWriter,
 };
 use rtim_stream::trace::{TraceDump, TraceStage};
@@ -304,6 +314,9 @@ struct LoopThread {
     tracer: Option<TraceWriter>,
     /// 1-in-N request sample rate (0 when tracing is off).
     sample: u64,
+    /// Wakes the engine for the batches enqueued in the current read pass,
+    /// once their `ACK`s are written.
+    bell: Option<Doorbell>,
 }
 
 impl LoopThread {
@@ -337,6 +350,7 @@ impl LoopThread {
             next_token: 0,
             tracer,
             sample,
+            bell: None,
         }
     }
 
@@ -386,6 +400,8 @@ impl LoopThread {
                 fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
                 slots.push(Slot::Conn(i));
             }
+            // Never sleep on a batch the engine was not woken for.
+            drop(self.bell.take());
             let timeout = if any_parked {
                 PARK_RETRY_MS
             } else if shutting {
@@ -448,8 +464,28 @@ impl LoopThread {
         }
     }
 
-    /// Reads and parses as much as the budget allows.
+    /// Reads and parses as much as the budget allows, then writes the
+    /// replies and wakes the engine for the batches just enqueued.
     fn readable(&mut self, i: usize, shutting: bool) {
+        self.read_pass(i, shutting);
+        self.flush_and_ring(i);
+    }
+
+    /// Writes connection `i`'s pending replies (the `ACK`s of this pass
+    /// among them), then rings the held doorbell: the engine competes for
+    /// the CPU only once the acknowledgements are on the wire.  A failed
+    /// write is left for the sweep to close.
+    fn flush_and_ring(&mut self, i: usize) {
+        let Some(bell) = self.bell.take() else { return };
+        if let Some(conn) = self.conns[i].as_mut() {
+            let _ = flush(conn);
+            self.note_flushed(i);
+        }
+        bell.ring();
+    }
+
+    /// Reads and parses as much as the budget allows.
+    fn read_pass(&mut self, i: usize, shutting: bool) {
         if let (Some(tracer), Some(conn)) = (&self.tracer, self.conns[i].as_mut()) {
             // Frames parsed out of this pass measure their end-to-end
             // span (and parse stage) from the readiness event.
@@ -598,7 +634,9 @@ impl LoopThread {
             }
             Frame::Query { corr } => {
                 let span = self.make_span(i, crate::protocol::kind::QUERY, corr);
-                self.submit_request(i, Request::Query, corr, span, false);
+                if !self.answer_inline(i, corr, span) {
+                    self.submit_request(i, Request::Query, corr, span, false);
+                }
             }
             Frame::Stats { corr } => {
                 let span = self.make_span(i, crate::protocol::kind::STATS, corr);
@@ -698,7 +736,7 @@ impl LoopThread {
             }
         }
         match conn.sender.try_ingest_traced(actions, span) {
-            Ok(()) => {
+            Ok(bell) => {
                 let queue_depth = conn.sender.queue_depth() as u32;
                 push_reply(
                     conn,
@@ -708,6 +746,10 @@ impl LoopThread {
                         corr,
                     },
                 );
+                self.bell = Some(match self.bell.take() {
+                    Some(held) => held.join(bell),
+                    None => bell,
+                });
                 if span.sampled {
                     let end = conn.out_total;
                     let (id, corr) = (conn.id, span.corr);
@@ -743,6 +785,35 @@ impl LoopThread {
                 conn.closing = true;
             }
         }
+    }
+
+    /// Answers a `QUERY` from the engine's published answer, when the
+    /// connection owes no earlier reply (per-connection FIFO) and the
+    /// answer covers every command enqueued so far.  Counted, timed and
+    /// traced like an engine answer; `false` means the query must be
+    /// queued.
+    fn answer_inline(&mut self, i: usize, corr: Option<u32>, span: SpanCtx) -> bool {
+        let Some(conn) = self.conns[i].as_mut() else {
+            return true;
+        };
+        if conn.pending > 0 {
+            return false;
+        }
+        let t_start = self.tracer.as_ref().map_or(0, TraceWriter::now_nanos);
+        // A closed engine is reported by the queued path.
+        let Ok(Some(solution)) = conn.sender.published_answer() else {
+            return false;
+        };
+        push_reply(conn, &Frame::Solution { solution, corr });
+        let end = conn.out_total;
+        if let Some(tracer) = &mut self.tracer {
+            let nanos = tracer.now_nanos().saturating_sub(t_start);
+            tracer.request(span, t_start, &[(TraceStage::OracleQuery, nanos)]);
+        }
+        if span.sampled {
+            self.mark_reply(i, end, span.conn, span.corr);
+        }
+        true
     }
 
     /// Enqueues a completion-routed request (`QUERY`/`STATS`/`SNAPSHOT`),
@@ -912,6 +983,7 @@ impl LoopThread {
                     self.close(i);
                 }
             }
+            self.flush_and_ring(i);
         }
     }
 

@@ -8,8 +8,12 @@
 //! rtim-cli top      [--addr ADDR] [--interval-ms N] [--once]
 //! rtim-cli trace    [--addr ADDR] [--max N] [--slow] [--follow]
 //!                   [--interval-ms N]
+//! rtim-cli query    [--addr ADDR]
 //! rtim-cli shutdown [--addr ADDR]
 //! ```
+//!
+//! `query` sends one `QUERY` and prints the current window's seed users
+//! (raw ids) and their influence value.
 //!
 //! `top` polls the engine's `STATS` frame and renders a live terminal
 //! view (press Ctrl-C to leave; `--once` prints a single snapshot and
@@ -48,6 +52,7 @@ fn main() {
         "serve" => serve(rest),
         "top" => top(rest),
         "trace" => trace(rest),
+        "query" => query(rest),
         "shutdown" => shutdown(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
@@ -69,6 +74,7 @@ const USAGE: &str = "usage:
   rtim-cli top      [--addr ADDR] [--interval-ms N] [--once]
   rtim-cli trace    [--addr ADDR] [--max N] [--slow] [--follow]
                     [--interval-ms N]
+  rtim-cli query    [--addr ADDR]
   rtim-cli shutdown [--addr ADDR]";
 
 /// Tiny flag parser: every option takes a value except the listed
@@ -160,6 +166,18 @@ fn serve(args: &[String]) -> Result<(), String> {
         report.stats.actions, report.stats.batches, report.stats.slides,
         report.final_solution.value
     );
+    Ok(())
+}
+
+fn query(args: &[String]) -> Result<(), String> {
+    let flags = Flags::parse(args, &[])?;
+    let addr = flags.get("addr").unwrap_or(DEFAULT_ADDR);
+    let mut client =
+        RtimClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let solution = client.query().map_err(|e| format!("query: {e}"))?;
+    let seeds: Vec<String> = solution.seeds.iter().map(|s| s.0.to_string()).collect();
+    println!("seeds: [{}]", seeds.join(", "));
+    println!("value: {}", solution.value);
     Ok(())
 }
 
