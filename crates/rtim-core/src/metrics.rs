@@ -417,7 +417,7 @@ impl EngineMetrics {
             "Ingest-queue depth observed at batch dequeue over the sliding window",
             &depth,
         );
-        let counters: [(&str, &str, u64); 12] = [
+        let counters: [(&str, &str, u64); 13] = [
             ("rtim_actions_total", "Actions ingested", stats.actions),
             ("rtim_batches_total", "Ingest batches dequeued", stats.batches),
             ("rtim_slides_total", "Window slides fed", stats.slides),
@@ -462,11 +462,16 @@ impl EngineMetrics {
                 "Requests promoted to the slow-op log",
                 self.trace_slow_ops.load(Ordering::Relaxed),
             ),
+            (
+                "rtim_shard_migrations_total",
+                "Checkpoints migrated between pool shards",
+                stats.shard_migrations,
+            ),
         ];
         for (name, help, value) in counters {
             render_scalar(&mut out, name, help, "counter", value);
         }
-        let gauges: [(&str, &str, u64); 10] = [
+        let gauges: [(&str, &str, u64); 9] = [
             (
                 "rtim_queue_depth_current",
                 "Commands waiting in the ingest queue now",
@@ -483,11 +488,6 @@ impl EngineMetrics {
                 "rtim_oracle_updates_total",
                 "Oracle element updates performed",
                 stats.oracle_updates,
-            ),
-            (
-                "rtim_shard_migrations_total",
-                "Checkpoints migrated between pool shards",
-                stats.shard_migrations,
             ),
             (
                 "rtim_shard_ewma_min_nanos",
@@ -701,6 +701,8 @@ mod tests {
         // Every exposed family carries HELP and TYPE lines.
         assert!(text.contains("# TYPE rtim_feed_nanos summary"));
         assert!(text.contains("# TYPE rtim_actions_total counter"));
+        // Migrations only ever accumulate (`ShardPool` adds one per move).
+        assert!(text.contains("# TYPE rtim_shard_migrations_total counter"));
         assert!(text.contains("# TYPE rtim_durability_state gauge"));
         // The live-checkpoint oracle sums fall when a checkpoint expires,
         // so they are gauges whatever their suffix says.

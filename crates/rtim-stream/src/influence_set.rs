@@ -1,21 +1,31 @@
-//! Hybrid user-ID set: sorted small-vec below a threshold, dense bitmap above.
+//! Hybrid user-ID set: inline ids, then a sorted vec, then a dense bitmap.
 //!
 //! Influence sets are the unit of work of the entire coverage hot path: every
 //! action appends to them, every checkpoint oracle probes and unions them.
 //! The original implementation used `HashSet<UserId>`, paying a SipHash plus
-//! a pointer chase per probe.  [`InfluenceSet`] replaces it with two
-//! hardware-friendly layouts:
+//! a pointer chase per probe.  [`InfluenceSet`] replaces it with three
+//! hardware-friendly layouts, and a set only ever moves forward through
+//! them as it grows:
 //!
-//! * **Small** — a sorted `Vec<UserId>` while the set holds at most
-//!   [`InfluenceSet::SMALL_MAX`] users.  Real cascades are shallow (Table 3
-//!   of the paper reports average depths below 5), so the overwhelming
-//!   majority of influence sets live and die in this representation: one
-//!   cache line, branch-predictable binary search, zero hashing.
+//! * **Inline** — up to [`InfluenceSet::INLINE_MAX`] sorted ids stored in
+//!   the 32-byte set value itself: no heap allocation, and the map entry
+//!   that holds the set is the only cache line a probe touches.  Real
+//!   cascades are shallow (Table 3 of the paper reports average depths
+//!   below 5), so most influence sets live and die here.
+//! * **Sorted vec** — a sorted `Vec<UserId>` from `INLINE_MAX + 1` ids
+//!   while the set holds at most [`InfluenceSet::SMALL_MAX`] users:
+//!   branch-predictable binary search, zero hashing.
 //! * **Bits** — a `Vec<u64>` bitmap indexed by `UserId::index()` once the
-//!   set outgrows the small threshold.  Membership is a shift-and-mask,
+//!   set outgrows the sorted-vec threshold.  Membership is a shift-and-mask,
 //!   unions and intersections are word-level `AND`/`OR`/`popcount` — this is
 //!   what makes the word-level coverage operations in `rtim-submodular`
 //!   possible.
+//!
+//! Both sorted layouts are seen through [`SetView::Small`], so the word-level
+//! kernels, the coverage code and the state codec tell only "sorted ids" from
+//! "bitmap".  Sets never shrink, so a sorted vec always holds more than
+//! `INLINE_MAX` ids and the codec's restore ([`InfluenceSet::from_sorted_vec`])
+//! recovers the exact layout from the id count alone.
 //!
 //! The bitmap is sized by the **largest id stored**, which is why the engine
 //! interns raw user ids into a dense `0..n` space before anything reaches
@@ -23,13 +33,13 @@
 //! costs one bit per user ever seen, independent of how sparse the raw id
 //! space of the trace is.
 //!
-//! Iteration order is **ascending by id in both representations**, so every
-//! float accumulation over an `InfluenceSet` is deterministic — a property
-//! the bit-identical sequential/sharded execution contract relies on.
+//! Iteration order is **ascending by id in every layout**, so every float
+//! accumulation over an `InfluenceSet` is deterministic — a property the
+//! bit-identical sequential/sharded execution contract relies on.
 
 use crate::action::UserId;
 
-/// A set of user ids with a hybrid sorted-vec / bitmap layout.
+/// A set of user ids with a hybrid inline / sorted-vec / bitmap layout.
 ///
 /// See the [module docs](self) for the design rationale.
 #[derive(Debug, Clone)]
@@ -39,8 +49,13 @@ pub struct InfluenceSet {
 
 #[derive(Debug, Clone)]
 enum Repr {
-    /// Sorted ascending, deduplicated.
-    Small(Vec<UserId>),
+    /// `ids[..len]` sorted ascending, deduplicated; `len <= INLINE_MAX`.
+    Inline {
+        len: u8,
+        ids: [UserId; InfluenceSet::INLINE_MAX],
+    },
+    /// Sorted ascending, deduplicated, more than `INLINE_MAX` ids.
+    Sorted(Vec<UserId>),
     /// Bit `i` of word `i / 64` set ⇔ `UserId(i)` present; `len` caches the
     /// population count.
     Bits { words: Vec<u64>, len: usize },
@@ -51,13 +66,17 @@ enum Repr {
 /// re-deriving the representation.
 #[derive(Debug, Clone, Copy)]
 pub enum SetView<'a> {
-    /// Sorted slice of user ids.
+    /// Sorted slice of user ids (inline or small-vec).
     Small(&'a [UserId]),
     /// Bitmap words (bit `i` of word `w` ⇔ `UserId(w * 64 + i)`).
     Bits(&'a [u64]),
 }
 
 impl InfluenceSet {
+    /// Maximum cardinality kept inline: five 4-byte ids and a length byte
+    /// fit beside the enum tag, so `size_of::<InfluenceSet>()` stays 32.
+    pub const INLINE_MAX: usize = 5;
+
     /// Maximum cardinality kept in the sorted small-vec representation;
     /// inserting a new id into a set of this size attempts promotion to a
     /// bitmap.
@@ -77,10 +96,13 @@ impl InfluenceSet {
     /// promotes as soon as it grows dense enough.
     pub const WORDS_PER_ELEMENT_MAX: usize = 8;
 
-    /// Creates an empty set (small representation).
+    /// Creates an empty set (inline representation).
     pub fn new() -> Self {
         InfluenceSet {
-            repr: Repr::Small(Vec::new()),
+            repr: Repr::Inline {
+                len: 0,
+                ids: [UserId(0); Self::INLINE_MAX],
+            },
         }
     }
 
@@ -100,7 +122,8 @@ impl InfluenceSet {
     #[inline]
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Small(v) => v.len(),
+            Repr::Inline { len, .. } => usize::from(*len),
+            Repr::Sorted(v) => v.len(),
             Repr::Bits { len, .. } => *len,
         }
     }
@@ -115,7 +138,8 @@ impl InfluenceSet {
     #[inline]
     pub fn contains(&self, user: UserId) -> bool {
         match &self.repr {
-            Repr::Small(v) => v.binary_search(&user).is_ok(),
+            Repr::Inline { len, ids } => ids[..usize::from(*len)].contains(&user),
+            Repr::Sorted(v) => v.binary_search(&user).is_ok(),
             Repr::Bits { words, .. } => {
                 let i = user.index();
                 words
@@ -127,7 +151,8 @@ impl InfluenceSet {
 
     /// Inserts `user`, returning `true` if it was not present before.
     ///
-    /// Promotes the representation to a bitmap when the small-vec exceeds
+    /// Moves an inline set to a sorted vec when it outgrows
+    /// [`Self::INLINE_MAX`], and promotes a sorted vec to a bitmap when it exceeds
     /// [`Self::SMALL_MAX`] **and** the ids are dense enough for the bitmap
     /// to be worth its memory (see [`Self::WORDS_PER_ELEMENT_MAX`]).
     pub fn insert(&mut self, user: UserId) -> bool {
@@ -145,7 +170,28 @@ impl InfluenceSet {
 
     fn insert_impl(&mut self, user: UserId, arena: Option<&mut crate::WordArena>) -> bool {
         match &mut self.repr {
-            Repr::Small(v) => match v.binary_search(&user) {
+            Repr::Inline { len, ids } => {
+                let n = usize::from(*len);
+                match ids[..n].binary_search(&user) {
+                    Ok(_) => false,
+                    Err(pos) if n < Self::INLINE_MAX => {
+                        ids.copy_within(pos..n, pos + 1);
+                        ids[pos] = user;
+                        *len += 1;
+                        true
+                    }
+                    Err(pos) => {
+                        // Doubling from 8 reaches `SMALL_MAX` = 32 exactly.
+                        let mut v = Vec::with_capacity((Self::INLINE_MAX + 1).next_power_of_two());
+                        v.extend_from_slice(&ids[..pos]);
+                        v.push(user);
+                        v.extend_from_slice(&ids[pos..]);
+                        self.repr = Repr::Sorted(v);
+                        true
+                    }
+                }
+            }
+            Repr::Sorted(v) => match v.binary_search(&user) {
                 Ok(_) => false,
                 Err(pos) => {
                     let len_after = v.len() + 1;
@@ -197,15 +243,17 @@ impl InfluenceSet {
     #[inline]
     pub fn view(&self) -> SetView<'_> {
         match &self.repr {
-            Repr::Small(v) => SetView::Small(v),
+            Repr::Inline { len, ids } => SetView::Small(&ids[..usize::from(*len)]),
+            Repr::Sorted(v) => SetView::Small(v),
             Repr::Bits { words, .. } => SetView::Bits(words),
         }
     }
 
-    /// Iterates the users in ascending id order (both representations).
+    /// Iterates the users in ascending id order (every representation).
     pub fn iter(&self) -> SetIter<'_> {
         match &self.repr {
-            Repr::Small(v) => SetIter::Small(v.iter()),
+            Repr::Inline { len, ids } => SetIter::Small(ids[..usize::from(*len)].iter()),
+            Repr::Sorted(v) => SetIter::Small(v.iter()),
             Repr::Bits { words, .. } => SetIter::Bits {
                 words,
                 word_idx: 0,
@@ -220,13 +268,30 @@ impl InfluenceSet {
         matches!(self.repr, Repr::Bits { .. })
     }
 
-    /// Rebuilds a small-representation set from an already sorted,
+    /// `true` while the ids are stored inline, without a heap allocation
+    /// (introspection for tests).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.repr, Repr::Inline { .. })
+    }
+
+    /// Rebuilds a sorted-representation set from an already sorted,
     /// deduplicated id list (the state codec's restore path — validation
-    /// happens at decode time).
+    /// happens at decode time): at most [`Self::INLINE_MAX`] ids go inline,
+    /// the layout a set of that size always has.
     pub(crate) fn from_sorted_vec(users: Vec<UserId>) -> Self {
         debug_assert!(users.windows(2).all(|w| w[0] < w[1]), "unsorted restore");
+        if users.len() > Self::INLINE_MAX {
+            return InfluenceSet {
+                repr: Repr::Sorted(users),
+            };
+        }
+        let mut ids = [UserId(0); Self::INLINE_MAX];
+        ids[..users.len()].copy_from_slice(&users);
         InfluenceSet {
-            repr: Repr::Small(users),
+            repr: Repr::Inline {
+                len: users.len() as u8,
+                ids,
+            },
         }
     }
 
@@ -240,7 +305,7 @@ impl InfluenceSet {
     }
 
     /// Tears the set down, recycling a bitmap backing store into `arena`
-    /// (small representations just drop).  Used when a checkpoint expires
+    /// (sorted representations just drop).  Used when a checkpoint expires
     /// so its thousands of bitmaps feed the next slide's promotions.
     pub fn recycle_into(self, arena: &mut crate::WordArena) {
         if let Repr::Bits { words, .. } = self.repr {
@@ -302,7 +367,7 @@ impl<'a> IntoIterator for &'a InfluenceSet {
 /// Ascending-order iterator over an [`InfluenceSet`].
 #[derive(Debug, Clone)]
 pub enum SetIter<'a> {
-    /// Iterating the sorted small-vec.
+    /// Iterating the sorted ids (inline or small-vec).
     Small(std::slice::Iter<'a, UserId>),
     /// Iterating set bits of the bitmap.
     Bits {

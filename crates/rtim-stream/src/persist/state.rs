@@ -384,7 +384,9 @@ const SET_BITS: u8 = 1;
 
 /// Encodes an [`InfluenceSet`], preserving its exact representation (a
 /// restored set must not only hold the same users but also keep the same
-/// small-vec/bitmap layout, so memory behaviour survives a restore).
+/// inline/small-vec/bitmap layout, so memory behaviour survives a
+/// restore; the two sorted layouts share `SET_SMALL` and are told apart
+/// by the id count).
 pub fn encode_influence_set(set: &InfluenceSet, out: &mut Vec<u8>) {
     match set.view() {
         SetView::Small(users) => {

@@ -28,6 +28,7 @@
 
 pub mod coverage;
 pub mod greedy;
+mod grid;
 pub mod oracle;
 pub mod sieve;
 mod singles;

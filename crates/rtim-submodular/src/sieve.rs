@@ -45,7 +45,8 @@
 //! the index follows the only two events that change seed membership.  An
 //! admission adds the exponent; a grid refresh that drops an instance
 //! removes it from its seeds' entries.  Seeds never leave a live instance,
-//! and a refresh that drops nothing leaves the index alone.
+//! and a refresh that drops nothing leaves the index alone.  (The index is
+//! [`crate::grid`]'s `SeedOf`, shared with ThresholdStream.)
 //!
 //! ### Open-threshold floor
 //!
@@ -78,18 +79,40 @@
 //! the full-set `process` path (whose set need not extend the last one fed)
 //! takes it too and drops the key's entries.
 //!
-//! All three are derived state and are not persisted:
-//! [`SieveStreaming::from_state`] rebuilds the index from the seed lists,
-//! starts the floor stale and the rejection caches cold, so the snapshot
-//! format is unchanged.  [`OracleCounters`] counts the outcomes.
+//! ## Flat grid and cached thresholds
+//!
+//! The instances live in a flat grid indexed by `exponent − base` (see
+//! [`crate::grid`]: refresh drops `j < lo` and fills `lo..=hi`, so the live
+//! exponents are always one contiguous range).  A seed absorb is an index,
+//! and the admission loop walks the instances in ascending exponent order,
+//! the order the `BTreeMap` they replaced iterated in.
+//!
+//! Beside the grid, `thresholds[i]` caches [`Instance::threshold`] of the
+//! instance in slot `i`, and `+∞` once it is full.  The admission loop
+//! scans this dense `f64` array and touches an instance only where
+//! `τ ≤ f({e})`.  Exactness: τ is a function of the guess, `f(S)` and
+//! `|S|`, and those change only on an absorb or an admission of that
+//! instance; the cache is recomputed with the same expression after each,
+//! and rebuilt for every slot after a grid refresh or a restore.  So every
+//! cached value equals the τ the loop would compute, bit for bit.  A full
+//! instance reads `+∞`, which exceeds every finite `f({e})`; the loop
+//! still checks fullness on the instances it does touch, so a NaN value
+//! cannot admit into a full one.  The open-threshold floor is the minimum
+//! of the array, the same fold as over the open instances alone.
+//!
+//! All of this is derived state and is not persisted:
+//! [`SieveStreaming::from_state`] rebuilds the index from the seed lists
+//! and the thresholds from the instances, starts the floor stale and the
+//! rejection caches cold, so the snapshot format is unchanged.
+//! [`OracleCounters`] counts the outcomes.
 
 use crate::coverage::CoverageState;
+use crate::grid::{guess_range, Grid, SeedOf};
 use crate::oracle::{OracleConfig, OracleCounters, SsoOracle};
 use crate::singles::SingletonValues;
 use crate::weights::{DenseWeights, ElementWeight};
 use fxhash::FxHashMap;
 use rtim_stream::{InfluenceSet, UserId};
-use std::collections::BTreeMap;
 
 /// One thresholding instance for a particular guess of `OPT`.
 #[derive(Debug, Clone)]
@@ -124,6 +147,17 @@ impl Instance {
         let remaining = (k - self.seeds.len()) as f64;
         (self.opt_guess / 2.0 - self.coverage.value()) / remaining
     }
+
+    /// The cached admission threshold: [`Self::threshold`], or `+∞` once
+    /// the instance is full.
+    #[inline]
+    fn cached_threshold(&self, k: usize) -> f64 {
+        if self.seeds.len() < k {
+            self.threshold(k)
+        } else {
+            f64::INFINITY
+        }
+    }
 }
 
 /// The SieveStreaming oracle.
@@ -144,10 +178,12 @@ pub struct SieveStreaming {
     /// reported value monotone (required by the SIC analysis, Lemma 2/3)
     /// without retaining the dead instance's coverage state.
     frozen: Option<(Vec<UserId>, f64)>,
-    /// Instances keyed by the exponent `j` of their guess `(1+β)^j`.
-    instances: BTreeMap<i64, Instance>,
+    /// Instances by the exponent `j` of their guess `(1+β)^j`.
+    instances: Grid<Instance>,
+    /// [`Instance::cached_threshold`] of each grid slot.
+    thresholds: Vec<f64>,
     /// Seed-of index: key → exponents of the instances holding it as a seed.
-    seed_of: FxHashMap<UserId, Vec<i64>>,
+    seed_of: SeedOf,
     /// Open-threshold floor: a lower bound on [`Instance::threshold`] over
     /// the instances that are not full (`+∞` when none is); `None` while
     /// stale.
@@ -167,8 +203,9 @@ impl SieveStreaming {
             max_single: 0.0,
             best_single: None,
             frozen: None,
-            instances: BTreeMap::new(),
-            seed_of: FxHashMap::default(),
+            instances: Grid::new(),
+            thresholds: Vec::new(),
+            seed_of: SeedOf::default(),
             open_floor: None,
             singles: SingletonValues::new(),
             elements: 0,
@@ -183,45 +220,53 @@ impl SieveStreaming {
     }
 
     /// Rebuilds an oracle from persisted state (see [`crate::state`]); the
-    /// seed-of index is rebuilt from the seed lists, the floor starts stale
-    /// and the rejection caches cold.
+    /// seed-of index and the cached thresholds are rebuilt from the
+    /// instances, the floor starts stale and the rejection caches cold.
+    ///
+    /// # Panics
+    ///
+    /// If the instance exponents are not consecutive; decoded states are
+    /// (the codec rejects any other order with `StateError::Corrupt`).
     pub(crate) fn from_state(config: OracleConfig, state: crate::state::SieveState) -> Self {
-        let mut seed_of: FxHashMap<UserId, Vec<i64>> = FxHashMap::default();
-        for inst in &state.instances {
-            for &seed in &inst.seeds {
-                seed_of.entry(seed).or_default().push(inst.exponent);
-            }
-        }
-        SieveStreaming {
+        let instances = Grid::from_consecutive(state.instances.into_iter().map(|inst| {
+            (
+                inst.exponent,
+                Instance {
+                    opt_guess: inst.parameter,
+                    seeds: inst.seeds,
+                    coverage: inst.coverage.restore(),
+                    rejected: FxHashMap::default(),
+                },
+            )
+        }));
+        let seed_of = SeedOf::build(instances.iter().map(|(j, inst)| (j, inst.seeds.as_slice())));
+        let mut oracle = SieveStreaming {
             config,
             max_single: state.max_single,
             best_single: state.best_single,
             frozen: state.frozen,
-            instances: state
-                .instances
-                .into_iter()
-                .map(|inst| {
-                    (
-                        inst.exponent,
-                        Instance {
-                            opt_guess: inst.parameter,
-                            seeds: inst.seeds,
-                            coverage: inst.coverage.restore(),
-                            rejected: FxHashMap::default(),
-                        },
-                    )
-                })
-                .collect(),
+            instances,
+            thresholds: Vec::new(),
             seed_of,
             open_floor: None,
             singles: SingletonValues::from_entries(state.singles),
             elements: state.elements,
             counters: OracleCounters::default(),
-        }
+        };
+        oracle.rebuild_thresholds();
+        oracle
     }
 
-    fn log_base(&self) -> f64 {
-        (1.0 + self.config.beta).ln()
+    /// Recomputes the cached threshold of every grid slot.
+    fn rebuild_thresholds(&mut self) {
+        let k = self.config.k;
+        self.thresholds.clear();
+        self.thresholds.extend(
+            self.instances
+                .cells()
+                .iter()
+                .map(|inst| inst.cached_threshold(k)),
+        );
     }
 
     /// Refreshes the instance grid after observing a new maximum single value.
@@ -229,65 +274,36 @@ impl SieveStreaming {
         if self.max_single <= 0.0 {
             return;
         }
-        let base = self.log_base();
-        let lo = (self.max_single.ln() / base).ceil() as i64;
-        let hi = ((2.0 * self.config.k as f64 * self.max_single).ln() / base).floor() as i64;
         // Drop instances whose guess is now provably too small (< m),
         // freezing the best of their solutions so the oracle value cannot
         // regress across a refresh, and unlinking their seeds from the
         // seed-of index.
-        if self
-            .instances
-            .first_key_value()
-            .is_some_and(|(&j, _)| j < lo)
-        {
-            let kept = self.instances.split_off(&lo);
-            let dropped = std::mem::replace(&mut self.instances, kept);
-            let frozen_value = self.frozen.as_ref().map_or(0.0, |(_, v)| *v);
-            let mut best_dropped: Option<(Vec<UserId>, f64)> = None;
-            for (j, inst) in dropped {
-                for seed in &inst.seeds {
-                    if let Some(held) = self.seed_of.get_mut(seed) {
-                        held.retain(|&x| x != j);
-                        if held.is_empty() {
-                            self.seed_of.remove(seed);
-                        }
-                    }
-                }
+        let frozen_value = self.frozen.as_ref().map_or(0.0, |(_, v)| *v);
+        let mut best_dropped: Option<(Vec<UserId>, f64)> = None;
+        let seed_of = &mut self.seed_of;
+        let beta = self.config.beta;
+        self.instances.refresh(
+            guess_range(&self.config, self.max_single),
+            |j, inst| {
+                seed_of.unlink(j, &inst.seeds);
                 let value = inst.coverage.value();
-                if value > frozen_value
-                    && best_dropped.as_ref().is_none_or(|(_, v)| value > *v)
-                {
+                if value > frozen_value && best_dropped.as_ref().is_none_or(|(_, v)| value > *v) {
                     best_dropped = Some((inst.seeds, value));
                 }
-            }
-            if best_dropped.is_some() {
-                self.frozen = best_dropped;
-            }
+            },
+            |j| Instance::new((1.0 + beta).powi(j as i32)),
+        );
+        if best_dropped.is_some() {
+            self.frozen = best_dropped;
         }
-        // Lazily create instances for new guesses.
-        for j in lo..=hi {
-            self.instances
-                .entry(j)
-                .or_insert_with(|| Instance::new((1.0 + self.config.beta).powi(j as i32)));
-        }
+        self.rebuild_thresholds();
         self.open_floor = None;
-    }
-
-    /// The minimum [`Instance::threshold`] over the instances that are not
-    /// full (`+∞` when none is).
-    fn open_threshold_min(&self) -> f64 {
-        let k = self.config.k;
-        self.instances
-            .values()
-            .filter(|inst| inst.seeds.len() < k)
-            .map(|inst| inst.threshold(k))
-            .fold(f64::INFINITY, f64::min)
     }
 
     fn best_instance(&self) -> Option<&Instance> {
         self.instances
-            .values()
+            .cells()
+            .iter()
             .max_by(|a, b| a.coverage.value().total_cmp(&b.coverage.value()))
     }
 
@@ -357,20 +373,18 @@ impl SieveStreaming {
         if added.is_none() {
             // A full set need not extend the one last fed: every cached
             // bound of this key is void.
-            for inst in self.instances.values_mut() {
+            for inst in self.instances.cells_mut() {
                 inst.rejected.remove(&key);
             }
         }
 
         let k = self.config.k;
-        let held: &[i64] = self.seed_of.get(&key).map_or(&[], Vec::as_slice);
+        let held = self.seed_of.held(key);
         // Updated influence set of an existing seed: refresh in place —
         // O(1) when the single-user delta is known.
-        for j in held {
-            let inst = self
-                .instances
-                .get_mut(j)
-                .expect("seed-of index names a live instance");
+        for &j in held {
+            let slot = self.instances.slot(j);
+            let inst = &mut self.instances.cells_mut()[slot];
             match (added, arena.as_deref_mut()) {
                 (Some(a), Some(arena)) => {
                     inst.coverage.absorb_one_in(weights, a, arena);
@@ -385,15 +399,19 @@ impl SieveStreaming {
                     inst.coverage.absorb(weights, set);
                 }
             }
-            if inst.seeds.len() < k {
-                lower_floor(&mut self.open_floor, inst.threshold(k));
-            }
+            let threshold = inst.cached_threshold(k);
+            self.thresholds[slot] = threshold;
+            lower_floor(&mut self.open_floor, threshold);
         }
 
         let floor = match self.open_floor {
             Some(floor) => floor,
             None => {
-                let floor = self.open_threshold_min();
+                let floor = self
+                    .thresholds
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min);
                 self.open_floor = Some(floor);
                 floor
             }
@@ -407,14 +425,17 @@ impl SieveStreaming {
         // The lazy bound needs unit weights and a one-user delta.
         let size = (added.is_some() && weights.is_unit()).then(|| set.len() as i64);
         let mut admitted: Vec<i64> = Vec::new();
-        for (&j, inst) in self.instances.iter_mut() {
-            if inst.seeds.len() >= k || held.contains(&j) {
+        for slot in 0..self.thresholds.len() {
+            let threshold = self.thresholds[slot];
+            if threshold > single {
+                // Even the whole element is below the threshold (or the
+                // instance is full): skip the (more expensive) marginal
+                // computation.
                 continue;
             }
-            let threshold = inst.threshold(k);
-            if threshold > single {
-                // Even the whole element is below the threshold: skip the
-                // (more expensive) marginal computation.
+            let j = self.instances.exponent(slot);
+            let inst = &mut self.instances.cells_mut()[slot];
+            if inst.seeds.len() >= k || held.contains(&j) {
                 continue;
             }
             if let (Some(size), Some(&d)) = (size, inst.rejected.get(&key)) {
@@ -442,21 +463,20 @@ impl SieveStreaming {
                 inst.seeds.push(key);
                 admitted.push(j);
                 self.counters.admissions += 1;
+                self.thresholds[slot] = inst.cached_threshold(k);
                 if inst.seeds.len() >= k {
                     inst.rejected = FxHashMap::default();
                     self.open_floor = None;
                 } else {
                     inst.rejected.remove(&key);
-                    lower_floor(&mut self.open_floor, inst.threshold(k));
+                    lower_floor(&mut self.open_floor, self.thresholds[slot]);
                 }
             } else if let Some(size) = size {
                 // A rejected gain is exact (the early exit never fired).
                 inst.rejected.insert(key, (gain as i64 - size) as i32);
             }
         }
-        if !admitted.is_empty() {
-            self.seed_of.entry(key).or_default().extend(admitted);
-        }
+        self.seed_of.admit(key, admitted);
     }
 }
 
@@ -527,7 +547,8 @@ impl SsoOracle for SieveStreaming {
 
     fn retained_facts(&self) -> usize {
         self.instances
-            .values()
+            .cells()
+            .iter()
             .map(|i| i.coverage.covered_count())
             .sum()
     }
@@ -541,7 +562,7 @@ impl SsoOracle for SieveStreaming {
             instances: self
                 .instances
                 .iter()
-                .map(|(&exponent, inst)| InstanceState {
+                .map(|(exponent, inst)| InstanceState {
                     exponent,
                     parameter: inst.opt_guess,
                     seeds: inst.seeds.clone(),

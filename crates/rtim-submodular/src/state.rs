@@ -83,7 +83,7 @@ pub struct SieveState {
     /// Best solution frozen from instances discarded by grid refreshes —
     /// the monotonicity fallback the SIC analysis relies on.
     pub frozen: Option<(Vec<UserId>, f64)>,
-    /// Live instances, ascending by exponent.
+    /// Live instances, by consecutive ascending exponents.
     pub instances: Vec<InstanceState>,
     /// Incrementally maintained singleton values, ascending by user
     /// (empty under the cardinality objective).
@@ -99,7 +99,7 @@ pub struct ThresholdState {
     pub max_single: f64,
     /// Best single element (fallback solution).
     pub best_single: Option<(UserId, f64)>,
-    /// Live instances, ascending by exponent.
+    /// Live instances, by consecutive ascending exponents.
     pub instances: Vec<InstanceState>,
     /// Incrementally maintained singleton values, ascending by user.
     pub singles: Vec<(UserId, f64)>,
@@ -351,10 +351,12 @@ fn read_instances(r: &mut ByteReader<'_>) -> Result<Vec<InstanceState>, StateErr
     let mut last: Option<i64> = None;
     for _ in 0..count {
         let exponent = r.i64()?;
+        // The oracles keep their instances in a flat grid over one
+        // contiguous exponent range (see `crate::grid`).
         if let Some(prev) = last {
-            if exponent <= prev {
+            if prev.checked_add(1) != Some(exponent) {
                 return Err(StateError::Corrupt(format!(
-                    "instance exponents must be strictly ascending: {exponent} after {prev}"
+                    "instance exponents must be consecutive: {exponent} after {prev}"
                 )));
             }
         }
@@ -502,6 +504,58 @@ mod tests {
             let mut r = ByteReader::new(&bytes[..cut]);
             let result = OracleState::decode(&mut r);
             assert!(result.is_err(), "cut {cut} decoded");
+        }
+    }
+
+    /// A grid state whose exponents skip one is rejected at decode (the
+    /// flat grid would misplace its instances); the consecutive one next
+    /// to it decodes and restores.
+    #[test]
+    fn decode_rejects_non_consecutive_exponents() {
+        let instance = |exponent| InstanceState {
+            exponent,
+            parameter: 1.0,
+            seeds: vec![UserId(1)],
+            coverage: CoverageSnapshot {
+                words: vec![0b10],
+                value: 1.0,
+            },
+        };
+        let config = OracleConfig::new(2, 0.2);
+        for exponents in [[3, 5], [3, 3], [i64::MAX, i64::MIN], [3, 4]] {
+            let instances: Vec<InstanceState> = exponents.iter().map(|&j| instance(j)).collect();
+            let states = [
+                OracleState::Sieve(SieveState {
+                    max_single: 1.0,
+                    best_single: Some((UserId(1), 1.0)),
+                    frozen: None,
+                    instances: instances.clone(),
+                    singles: Vec::new(),
+                    elements: 1,
+                }),
+                OracleState::Threshold(ThresholdState {
+                    max_single: 1.0,
+                    best_single: Some((UserId(1), 1.0)),
+                    instances,
+                    singles: Vec::new(),
+                    elements: 1,
+                }),
+            ];
+            for state in states {
+                let mut bytes = Vec::new();
+                state.encode(&mut bytes);
+                let decoded = OracleState::decode(&mut ByteReader::new(&bytes));
+                if exponents == [3, 4] {
+                    let restored = decoded.expect("consecutive grid decodes").restore(config);
+                    assert_eq!(restored.value(), 1.0);
+                    assert_eq!(restored.seeds(), vec![UserId(1)]);
+                } else {
+                    assert!(
+                        matches!(decoded, Err(StateError::Corrupt(_))),
+                        "{exponents:?} decoded"
+                    );
+                }
+            }
         }
     }
 

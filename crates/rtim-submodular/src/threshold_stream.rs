@@ -13,22 +13,26 @@
 //! The delta path ([`SsoOracle::process_grow`]) mirrors SieveStreaming's:
 //! existing seeds absorb the single new user in O(1), and singleton values
 //! are maintained incrementally for weighted objectives.
+//!
+//! The instances share SieveStreaming's flat grid and seed-of index (see
+//! [`crate::grid`]): a re-arriving seed is absorbed into exactly the
+//! instances that hold it, and the admission test visits the others.  Every
+//! instance is independent of the rest, so absorbing before the admission
+//! pass yields the same state as the interleaved visit-every-instance loop
+//! (`tests/threshold_reference.rs` checks that after every element).
 
 use crate::coverage::CoverageState;
+use crate::grid::{guess_range, Grid, SeedOf};
 use crate::oracle::{OracleConfig, SsoOracle};
 use crate::singles::SingletonValues;
 use crate::weights::DenseWeights;
 use rtim_stream::{InfluenceSet, UserId};
-use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 struct Instance {
     /// Fixed admission threshold `v / (2k)` for this guess `v`.
     threshold: f64,
     seeds: Vec<UserId>,
-    /// Membership index over `seeds` (O(1) seed test instead of a linear
-    /// scan; see the same field on the SieveStreaming instance).
-    seed_set: InfluenceSet,
     coverage: CoverageState,
 }
 
@@ -37,7 +41,6 @@ impl Instance {
         Instance {
             threshold: opt_guess / (2.0 * k as f64),
             seeds: Vec::new(),
-            seed_set: InfluenceSet::new(),
             coverage: CoverageState::new(),
         }
     }
@@ -49,7 +52,10 @@ pub struct ThresholdStream {
     config: OracleConfig,
     max_single: f64,
     best_single: Option<(UserId, f64)>,
-    instances: BTreeMap<i64, Instance>,
+    /// Instances by the exponent `j` of their guess `(1+β)^j`.
+    instances: Grid<Instance>,
+    /// Seed-of index: key → exponents of the instances holding it as a seed.
+    seed_of: SeedOf,
     /// Incrementally maintained singleton values `f({e})` per key (see
     /// [`crate::singles`]).
     singles: SingletonValues,
@@ -63,7 +69,8 @@ impl ThresholdStream {
             config,
             max_single: 0.0,
             best_single: None,
-            instances: BTreeMap::new(),
+            instances: Grid::new(),
+            seed_of: SeedOf::default(),
             singles: SingletonValues::new(),
             elements: 0,
         }
@@ -74,27 +81,31 @@ impl ThresholdStream {
         self.instances.len()
     }
 
-    /// Rebuilds an oracle from persisted state (see [`crate::state`]).
+    /// Rebuilds an oracle from persisted state (see [`crate::state`]); the
+    /// seed-of index is rebuilt from the seed lists.
+    ///
+    /// # Panics
+    ///
+    /// If the instance exponents are not consecutive; decoded states are
+    /// (the codec rejects any other order with `StateError::Corrupt`).
     pub(crate) fn from_state(config: OracleConfig, state: crate::state::ThresholdState) -> Self {
+        let instances = Grid::from_consecutive(state.instances.into_iter().map(|inst| {
+            (
+                inst.exponent,
+                Instance {
+                    threshold: inst.parameter,
+                    seeds: inst.seeds,
+                    coverage: inst.coverage.restore(),
+                },
+            )
+        }));
+        let seed_of = SeedOf::build(instances.iter().map(|(j, inst)| (j, inst.seeds.as_slice())));
         ThresholdStream {
             config,
             max_single: state.max_single,
             best_single: state.best_single,
-            instances: state
-                .instances
-                .into_iter()
-                .map(|inst| {
-                    (
-                        inst.exponent,
-                        Instance {
-                            threshold: inst.parameter,
-                            seed_set: inst.seeds.iter().copied().collect(),
-                            seeds: inst.seeds,
-                            coverage: inst.coverage.restore(),
-                        },
-                    )
-                })
-                .collect(),
+            instances,
+            seed_of,
             singles: SingletonValues::from_entries(state.singles),
             elements: state.elements,
         }
@@ -104,21 +115,19 @@ impl ThresholdStream {
         if self.max_single <= 0.0 {
             return;
         }
-        let base = (1.0 + self.config.beta).ln();
-        let lo = (self.max_single.ln() / base).ceil() as i64;
-        let hi = ((2.0 * self.config.k as f64 * self.max_single).ln() / base).floor() as i64;
-        self.instances.retain(|&j, _| j >= lo);
-        for j in lo..=hi {
-            let guess = (1.0 + self.config.beta).powi(j as i32);
-            self.instances
-                .entry(j)
-                .or_insert_with(|| Instance::new(guess, self.config.k));
-        }
+        let seed_of = &mut self.seed_of;
+        let (beta, k) = (self.config.beta, self.config.k);
+        self.instances.refresh(
+            guess_range(&self.config, self.max_single),
+            |j, inst| seed_of.unlink(j, &inst.seeds),
+            |j| Instance::new((1.0 + beta).powi(j as i32), k),
+        );
     }
 
     fn best_instance(&self) -> Option<&Instance> {
         self.instances
-            .values()
+            .cells()
+            .iter()
             .max_by(|a, b| a.coverage.value().total_cmp(&b.coverage.value()))
     }
 
@@ -141,19 +150,24 @@ impl ThresholdStream {
         }
 
         let k = self.config.k;
-        for inst in self.instances.values_mut() {
-            if inst.seed_set.contains(key) {
-                match added {
-                    Some(a) => {
-                        inst.coverage.absorb_one(weights, a);
-                    }
-                    None => {
-                        inst.coverage.absorb(weights, set);
-                    }
+        let held = self.seed_of.held(key);
+        for &j in held {
+            let slot = self.instances.slot(j);
+            let inst = &mut self.instances.cells_mut()[slot];
+            match added {
+                Some(a) => {
+                    inst.coverage.absorb_one(weights, a);
                 }
-                continue;
+                None => {
+                    inst.coverage.absorb(weights, set);
+                }
             }
-            if inst.seeds.len() >= k || inst.threshold > single {
+        }
+        let mut admitted: Vec<i64> = Vec::new();
+        for slot in 0..self.instances.len() {
+            let j = self.instances.exponent(slot);
+            let inst = &mut self.instances.cells_mut()[slot];
+            if inst.seeds.len() >= k || inst.threshold > single || held.contains(&j) {
                 continue;
             }
             let gain = inst
@@ -162,9 +176,10 @@ impl ThresholdStream {
             if gain >= inst.threshold && gain > 0.0 {
                 inst.coverage.absorb(weights, set);
                 inst.seeds.push(key);
-                inst.seed_set.insert(key);
+                admitted.push(j);
             }
         }
+        self.seed_of.admit(key, admitted);
     }
 }
 
@@ -207,7 +222,8 @@ impl SsoOracle for ThresholdStream {
 
     fn retained_facts(&self) -> usize {
         self.instances
-            .values()
+            .cells()
+            .iter()
             .map(|i| i.coverage.covered_count())
             .sum()
     }
@@ -220,7 +236,7 @@ impl SsoOracle for ThresholdStream {
             instances: self
                 .instances
                 .iter()
-                .map(|(&exponent, inst)| InstanceState {
+                .map(|(exponent, inst)| InstanceState {
                     exponent,
                     parameter: inst.threshold,
                     seeds: inst.seeds.clone(),
