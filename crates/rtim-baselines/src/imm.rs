@@ -108,10 +108,9 @@ impl Imm {
 
         // Phase 1b: the final RR-set count θ = λ* / LB.
         let alpha = (ell * nf.ln() + 2f64.ln()).sqrt();
-        let beta = ((1.0 - 1.0 / std::f64::consts::E) * (logcnk + ell * nf.ln() + 2f64.ln())).sqrt();
-        let lambda_star = 2.0
-            * nf
-            * ((1.0 - 1.0 / std::f64::consts::E) * alpha + beta).powi(2)
+        let beta =
+            ((1.0 - 1.0 / std::f64::consts::E) * (logcnk + ell * nf.ln() + 2f64.ln())).sqrt();
+        let lambda_star = 2.0 * nf * ((1.0 - 1.0 / std::f64::consts::E) * alpha + beta).powi(2)
             / (self.epsilon * self.epsilon);
         let theta = ((lambda_star / lb.max(1.0)).ceil() as usize).min(self.max_rr_sets);
         rr.sample_to(graph, theta, rng);
@@ -191,7 +190,11 @@ mod tests {
         let r = Imm::new(3).select(&g, &mut rng());
         assert!(r.seeds.is_empty());
         let g = two_stars();
-        let r = Imm { k: 0, ..Imm::new(1) }.select(&g, &mut rng());
+        let r = Imm {
+            k: 0,
+            ..Imm::new(1)
+        }
+        .select(&g, &mut rng());
         assert!(r.seeds.is_empty());
     }
 

@@ -180,10 +180,8 @@ impl Ubi {
             })
             .collect();
         // The cheapest seed to give up.
-        let Some((worst_idx, &worst_loss)) = exclusive
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, loss)| *loss)
+        let Some((worst_idx, &worst_loss)) =
+            exclusive.iter().enumerate().min_by_key(|&(_, loss)| *loss)
         else {
             return false;
         };

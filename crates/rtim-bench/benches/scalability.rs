@@ -3,9 +3,7 @@
 //! cost at 1/2/4/8 workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtim_core::{
-    Checkpoint, FrameworkKind, ResolvedAction, ShardPool, SimConfig, SimEngine,
-};
+use rtim_core::{Checkpoint, FrameworkKind, ResolvedAction, ShardPool, SimConfig, SimEngine};
 use rtim_datagen::{DatasetConfig, DatasetKind, Scale};
 use rtim_stream::{SocialStream, UserId};
 use rtim_submodular::{OracleConfig, OracleKind};
@@ -124,7 +122,11 @@ fn bench_feed_strategy(c: &mut Criterion) {
                     }
                     let mut total = 0.0;
                     for slide in &slides {
-                        total = pool.feed(slide, None).iter().map(|(s, _)| s.value).sum::<f64>();
+                        total = pool
+                            .feed(slide, None)
+                            .iter()
+                            .map(|(s, _)| s.value)
+                            .sum::<f64>();
                     }
                     total
                 });
@@ -134,5 +136,10 @@ fn bench_feed_strategy(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_window_size, bench_slide_length, bench_feed_strategy);
+criterion_group!(
+    benches,
+    bench_window_size,
+    bench_slide_length,
+    bench_feed_strategy
+);
 criterion_main!(benches);

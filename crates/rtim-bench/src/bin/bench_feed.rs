@@ -23,9 +23,7 @@ use rtim_bench::{
     bitmap_pass, coverage_workload, hashset_pass, time_pass, BaselineSample, CommonArgs,
     CoverageOpsSample, FeedBenchReport, FeedRun, TraceOverheadSample, COMMON_KEYS,
 };
-use rtim_core::{
-    EngineHandle, FrameworkKind, HandleOptions, SimEngine, SpanCtx, TraceConfig,
-};
+use rtim_core::{EngineHandle, FrameworkKind, HandleOptions, SimEngine, SpanCtx, TraceConfig};
 use rtim_stream::{SocialStream, UserId};
 
 /// Number of distinct hot users the `--hot-frac` remap concentrates on.

@@ -40,7 +40,14 @@ fn main() {
         "{}",
         format_table(
             "Table 3: statistics on datasets (generated at the requested scale)",
-            &["Dataset", "Users", "Actions", "Resp. dist.", "Avg. depth", "Root frac."],
+            &[
+                "Dataset",
+                "Users",
+                "Actions",
+                "Resp. dist.",
+                "Avg. depth",
+                "Root frac."
+            ],
             &rows,
         )
     );

@@ -14,8 +14,20 @@ use rtim_stream::SocialStream;
 
 /// Argument keys understood by every experiment binary.
 pub const COMMON_KEYS: &[&str] = &[
-    "dataset", "datasets", "scale", "k", "beta", "window", "slide", "actions", "users",
-    "mc-rounds", "eval-every", "max-slides", "seed", "oracle",
+    "dataset",
+    "datasets",
+    "scale",
+    "k",
+    "beta",
+    "window",
+    "slide",
+    "actions",
+    "users",
+    "mc-rounds",
+    "eval-every",
+    "max-slides",
+    "seed",
+    "oracle",
 ];
 
 /// Parameters resolved from the command line for one experiment binary.

@@ -489,10 +489,7 @@ mod tests {
         assert!(json.contains("\"trace_overhead\": {\"sample\": 64"));
         assert!(json.contains("\"overhead_ratio\": 1.01"));
         // Balanced braces/brackets (cheap well-formedness check).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count(),);
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
@@ -514,8 +511,12 @@ mod tests {
     #[test]
     fn baseline_speedup_pairs_by_name() {
         let mut r = FeedBenchReport::new();
-        r.runs
-            .push(FeedRun::from_report("sic_a_t4", "SIC", 4, &report_with(&[100, 100])));
+        r.runs.push(FeedRun::from_report(
+            "sic_a_t4",
+            "SIC",
+            4,
+            &report_with(&[100, 100]),
+        ));
         assert_eq!(r.speedup_vs_baseline("sic_a_t4"), None);
         r.baselines.push(BaselineSample {
             name: "sic_a_t4".into(),
@@ -532,8 +533,8 @@ mod tests {
 
     #[test]
     fn pool_stats_attach_to_runs() {
-        let run = FeedRun::from_report("x", "IC", 4, &report_with(&[10]))
-            .with_pool_stats(PoolStats {
+        let run =
+            FeedRun::from_report("x", "IC", 4, &report_with(&[10])).with_pool_stats(PoolStats {
                 migrations: 3,
                 ewma_min_nanos: 5,
                 ewma_max_nanos: 9,

@@ -86,8 +86,7 @@ mod tests {
         let stream = tiny_stream();
         let config = rtim_core::SimConfig::new(5, 0.2, 400, 50);
         let run = run_framework(FrameworkKind::Sic, config, &stream);
-        let spread =
-            evaluate_average_spread(&stream, config, &run.seeds_per_slide, 100, 2, 42);
+        let spread = evaluate_average_spread(&stream, config, &run.seeds_per_slide, 100, 2, 42);
         assert!(spread > 0.0);
         // Spread can never exceed the window size (at most N active users).
         assert!(spread <= 400.0);
@@ -100,8 +99,7 @@ mod tests {
         let sic = run_framework(FrameworkKind::Sic, config, &stream);
         let budget = BaselineBudget::default();
         let greedy = run_method(MethodKind::Greedy, config, &stream, budget, 7);
-        let s_sic =
-            evaluate_average_spread(&stream, config, &sic.seeds_per_slide, 200, 2, 42);
+        let s_sic = evaluate_average_spread(&stream, config, &sic.seeds_per_slide, 200, 2, 42);
         let s_greedy =
             evaluate_average_spread(&stream, config, &greedy.seeds_per_slide, 200, 2, 42);
         // Greedy recomputes the (1-1/e) answer on the exact window, so its

@@ -71,7 +71,12 @@ pub fn format_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
     let _ = writeln!(out);
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
-            let _ = write!(out, "{:>w$}  ", cell, w = widths.get(i).copied().unwrap_or(8));
+            let _ = write!(
+                out,
+                "{:>w$}  ",
+                cell,
+                w = widths.get(i).copied().unwrap_or(8)
+            );
         }
         let _ = writeln!(out);
     }

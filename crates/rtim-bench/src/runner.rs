@@ -16,10 +16,10 @@
 //! window plus propagation index) so their measured cost includes exactly
 //! the same substrate work as the streaming frameworks.
 
+use crate::stats::LatencyStats;
 use rtim_baselines::{GreedySim, Imm, Ubi, UbiConfig};
 use rtim_core::{FrameworkKind, SimConfig, SimEngine};
 use rtim_graph::build_window_graph;
-use crate::stats::LatencyStats;
 use rtim_stream::{PropagationIndex, SlidingWindow, SocialStream, UserId};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -199,9 +199,7 @@ pub fn run_framework(kind: FrameworkKind, config: SimConfig, stream: &SocialStre
         .collect();
     let mut values = Vec::new();
     let mut checkpoints = Vec::new();
-    for (slide_idx, (slide, solution)) in
-        report.slides.iter().zip(&report.solutions).enumerate()
-    {
+    for (slide_idx, (slide, solution)) in report.slides.iter().zip(&report.solutions).enumerate() {
         if slide_idx + 1 >= warmup_slides {
             values.push(solution.value);
             checkpoints.push(slide.checkpoints);

@@ -115,7 +115,12 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
     /// Creates an empty set from a SIM configuration (oracle kind, oracle
     /// parameters and thread count).
     pub fn from_config(config: &SimConfig, weight: W) -> Self {
-        Self::new(config.oracle, config.oracle_config(), config.threads, weight)
+        Self::new(
+            config.oracle,
+            config.oracle_config(),
+            config.threads,
+            weight,
+        )
     }
 
     /// Number of live checkpoints.
@@ -517,7 +522,11 @@ mod tests {
         let seq = drive_weighted(1);
         let par = drive_weighted(3);
         assert_eq!(seq.values(), par.values());
-        assert!(seq.value(0) >= 10.0, "heavy user not reflected: {}", seq.value(0));
+        assert!(
+            seq.value(0) >= 10.0,
+            "heavy user not reflected: {}",
+            seq.value(0)
+        );
         assert_eq!(seq.solution(0).seeds, par.solution(0).seeds);
     }
 

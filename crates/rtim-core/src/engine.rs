@@ -124,7 +124,10 @@ impl RunReport {
 
     /// The answer after the final slide (empty if the stream was empty).
     pub fn final_solution(&self) -> Solution {
-        self.solutions.last().cloned().unwrap_or_else(Solution::empty)
+        self.solutions
+            .last()
+            .cloned()
+            .unwrap_or_else(Solution::empty)
     }
 }
 
@@ -172,7 +175,10 @@ impl SimEngine {
 
     /// Creates an engine running IC with a custom influence function
     /// (e.g. conformity-aware weights, Appendix A).
-    pub fn new_ic_weighted<W: ElementWeight + Send + 'static>(config: SimConfig, weight: W) -> Self {
+    pub fn new_ic_weighted<W: ElementWeight + Send + 'static>(
+        config: SimConfig,
+        weight: W,
+    ) -> Self {
         Self::with_framework(config, Box::new(IcFramework::with_weight(config, weight)))
     }
 
@@ -472,8 +478,8 @@ impl SimEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtim_submodular::{brute_force_best, UnitWeight};
     use rtim_stream::UserId;
+    use rtim_submodular::{brute_force_best, UnitWeight};
 
     fn figure1_actions() -> Vec<Action> {
         vec![
@@ -577,7 +583,10 @@ mod tests {
         let actions = figure1_actions();
         let mut engine = SimEngine::new_ic(config);
         let head = engine.ingest_batch(&actions[..3]);
-        assert_eq!(head.iter().map(|r| r.actions).collect::<Vec<_>>(), vec![2, 1]);
+        assert_eq!(
+            head.iter().map(|r| r.actions).collect::<Vec<_>>(),
+            vec![2, 1]
+        );
         let tail = engine.ingest_batch(&actions[3..]);
         assert_eq!(
             tail.iter().map(|r| r.actions).collect::<Vec<_>>(),
@@ -587,7 +596,14 @@ mod tests {
         // The shorter slides are fully processed: same result as the same
         // slide pattern through process_slide.
         let mut by_slide = SimEngine::new_ic(config);
-        for chunk in [&actions[..2], &actions[2..3], &actions[3..5], &actions[5..7], &actions[7..9], &actions[9..]] {
+        for chunk in [
+            &actions[..2],
+            &actions[2..3],
+            &actions[3..5],
+            &actions[5..7],
+            &actions[7..9],
+            &actions[9..],
+        ] {
             by_slide.process_slide(chunk);
         }
         assert_eq!(engine.query(), by_slide.query());
@@ -624,12 +640,24 @@ mod tests {
         let par_report = par.run_stream(&stream);
         assert_eq!(seq_report.solutions, par_report.solutions);
         assert_eq!(
-            seq_report.slides.iter().map(|r| r.checkpoints).collect::<Vec<_>>(),
-            par_report.slides.iter().map(|r| r.checkpoints).collect::<Vec<_>>(),
+            seq_report
+                .slides
+                .iter()
+                .map(|r| r.checkpoints)
+                .collect::<Vec<_>>(),
+            par_report
+                .slides
+                .iter()
+                .map(|r| r.checkpoints)
+                .collect::<Vec<_>>(),
         );
         // The oracle outcome counters travel the pool's stats unchanged.
-        let counters =
-            |r: &RunReport| r.slides.iter().map(|s| s.oracle_counters).collect::<Vec<_>>();
+        let counters = |r: &RunReport| {
+            r.slides
+                .iter()
+                .map(|s| s.oracle_counters)
+                .collect::<Vec<_>>()
+        };
         assert_eq!(counters(&seq_report), counters(&par_report));
         assert!(seq_report.slides.last().unwrap().oracle_counters.elements > 0);
     }

@@ -59,8 +59,7 @@ impl ConformityScores {
 
     /// Number of users with an explicit score of either kind.
     pub fn len(&self) -> usize {
-        let mut users: std::collections::HashSet<UserId> =
-            self.influence.keys().copied().collect();
+        let mut users: std::collections::HashSet<UserId> = self.influence.keys().copied().collect();
         users.extend(self.conformity.keys().copied());
         users.len()
     }
@@ -104,8 +103,7 @@ mod tests {
     fn conformity_aware_engine_runs() {
         let mut s = ConformityScores::new();
         s.set_conformity(UserId(2), 10.0);
-        let mut engine =
-            SimEngine::new_sic_weighted(SimConfig::new(2, 0.2, 8, 1), s.weight());
+        let mut engine = SimEngine::new_sic_weighted(SimConfig::new(2, 0.2, 8, 1), s.weight());
         let actions = vec![
             Action::root(1u64, 1u32),
             Action::reply(2u64, 2u32, 1u64),

@@ -36,10 +36,7 @@ impl TopicFilter {
 
 impl StreamFilter<Annotated<TopicSet>> for TopicFilter {
     fn accept(&self, annotated: &Annotated<TopicSet>) -> bool {
-        annotated
-            .tag
-            .iter()
-            .any(|t| self.query_topics.contains(t))
+        annotated.tag.iter().any(|t| self.query_topics.contains(t))
     }
 }
 

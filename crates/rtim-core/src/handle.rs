@@ -491,7 +491,10 @@ impl Shared {
                 return None;
             }
             state.idle = true;
-            state = self.bell.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state = self
+                .bell
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -604,7 +607,10 @@ impl Queue {
                 return Err(TrySendError::Full(command));
             }
             state.blocked += 1;
-            state = shared.room.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state = shared
+                .room
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
             state.blocked -= 1;
         }
         state.commands.push_back(command);
@@ -707,7 +713,8 @@ impl IngestSender {
     /// handed back in [`IngestError::Full`] so the caller can retry or
     /// signal backpressure.  An empty batch is a no-op.
     pub fn try_ingest(&mut self, actions: Vec<Action>) -> Result<(), IngestError> {
-        self.enqueue(actions, SpanCtx::default(), false).map(Doorbell::ring)
+        self.enqueue(actions, SpanCtx::default(), false)
+            .map(Doorbell::ring)
     }
 
     /// [`IngestSender::try_ingest`] with a trace span context (the
@@ -727,7 +734,8 @@ impl IngestSender {
 
     /// Enqueues a batch, blocking while the queue is full.
     pub fn ingest(&mut self, actions: Vec<Action>) -> Result<(), IngestError> {
-        self.enqueue(actions, SpanCtx::default(), true).map(Doorbell::ring)
+        self.enqueue(actions, SpanCtx::default(), true)
+            .map(Doorbell::ring)
     }
 
     /// [`IngestSender::ingest`] with a trace span context (see
@@ -1212,7 +1220,9 @@ fn engine_loop(
         final_solution: (*answer).clone(),
         // Rebased ids are strictly increasing and parents resolve to
         // earlier assigned ids, so the journal is valid by construction.
-        journal: options.journal.then(|| SocialStream::new_unchecked(journal)),
+        journal: options
+            .journal
+            .then(|| SocialStream::new_unchecked(journal)),
         recent_slides: recent.into(),
         durability: persistence.state(),
     }
@@ -1296,7 +1306,11 @@ mod tests {
         // bounded by the configured capacity.
         assert_eq!(report.recent_slides.len(), 5);
         assert_eq!(
-            report.recent_slides.iter().map(|r| r.actions).sum::<usize>(),
+            report
+                .recent_slides
+                .iter()
+                .map(|r| r.actions)
+                .sum::<usize>(),
             10
         );
         assert!(report
@@ -1407,10 +1421,14 @@ mod tests {
         );
         let mut sender = handle.sender();
         for t in 1..=40u64 {
-            sender.ingest(vec![Action::root(t, (t % 5) as u32)]).unwrap();
+            sender
+                .ingest(vec![Action::root(t, (t % 5) as u32)])
+                .unwrap();
         }
         // A reply to id 1, long outside the horizon of 10.
-        sender.ingest(vec![Action::reply(41u64, 9u32, 1u64)]).unwrap();
+        sender
+            .ingest(vec![Action::reply(41u64, 9u32, 1u64)])
+            .unwrap();
         let stats = handle.shutdown().stats;
         assert_eq!(stats.actions, 41);
         assert_eq!(stats.orphaned_replies, 1);
@@ -1518,7 +1536,9 @@ mod tests {
             let handle = spawn_persistent(&dir, 2);
             let mut sender = handle.sender();
             for t in 1..=12u64 {
-                sender.ingest(vec![Action::root(t, (t % 5) as u32)]).unwrap();
+                sender
+                    .ingest(vec![Action::root(t, (t % 5) as u32)])
+                    .unwrap();
             }
             // Snapshots are written off-thread; shutdown joins the writer,
             // so afterwards the triggered snapshot is on disk.  A fast
@@ -1622,8 +1642,7 @@ mod tests {
         let stats = sender.stats().unwrap();
         assert_eq!(stats.actions, 10);
         let dump = rec.dump(usize::MAX, false);
-        let stages: std::collections::HashSet<u8> =
-            dump.events.iter().map(|e| e.stage).collect();
+        let stages: std::collections::HashSet<u8> = dump.events.iter().map(|e| e.stage).collect();
         assert!(stages.contains(&TraceStage::Parse.code()));
         assert!(stages.contains(&TraceStage::QueueWait.code()));
         assert!(stages.contains(&TraceStage::Resolve.code()));
@@ -1631,7 +1650,11 @@ mod tests {
         assert!(!dump.slow_ops.is_empty());
         for op in &dump.slow_ops {
             let sum: u64 = op.stages.iter().sum();
-            assert!(sum <= op.total_nanos, "stage sum {sum} > {}", op.total_nanos);
+            assert!(
+                sum <= op.total_nanos,
+                "stage sum {sum} > {}",
+                op.total_nanos
+            );
         }
         let traced = dump
             .slow_ops

@@ -95,9 +95,9 @@ pub use engine::{FeedBreakdown, RunReport, SimEngine, SlideReport};
 pub use framework::{Framework, FrameworkKind, ResolvedAction, Solution};
 pub use handle::{
     AsyncRequestError, Completion, CompletionPayload, CompletionSink, Doorbell, DurabilityState,
-    EngineHandle, EngineReport, EngineStats, FsyncPolicy, HandleClosed, HandleOptions,
-    IngestError, IngestSender, PersistOptions, Request, SenderSpawner, SnapshotInfo,
-    SnapshotRequestError, JOURNAL_FILE, RECENT_SLIDES, SNAPSHOT_FILE,
+    EngineHandle, EngineReport, EngineStats, FsyncPolicy, HandleClosed, HandleOptions, IngestError,
+    IngestSender, PersistOptions, Request, SenderSpawner, SnapshotInfo, SnapshotRequestError,
+    JOURNAL_FILE, RECENT_SLIDES, SNAPSHOT_FILE,
 };
 pub use ic::IcFramework;
 pub use intern::UserInterner;

@@ -419,9 +419,17 @@ impl EngineMetrics {
         );
         let counters: [(&str, &str, u64); 13] = [
             ("rtim_actions_total", "Actions ingested", stats.actions),
-            ("rtim_batches_total", "Ingest batches dequeued", stats.batches),
+            (
+                "rtim_batches_total",
+                "Ingest batches dequeued",
+                stats.batches,
+            ),
             ("rtim_slides_total", "Window slides fed", stats.slides),
-            ("rtim_queries_total", "SIM queries answered", self.queries.load(Ordering::Relaxed)),
+            (
+                "rtim_queries_total",
+                "SIM queries answered",
+                self.queries.load(Ordering::Relaxed),
+            ),
             (
                 "rtim_parked_requests_total",
                 "Requests parked on a full queue (event-loop front-end)",
@@ -482,7 +490,11 @@ impl EngineMetrics {
                 "Maximum queue depth observed at any dequeue",
                 stats.max_queue_depth,
             ),
-            ("rtim_checkpoints", "Checkpoints currently maintained", stats.checkpoints),
+            (
+                "rtim_checkpoints",
+                "Checkpoints currently maintained",
+                stats.checkpoints,
+            ),
             ("rtim_users", "Distinct users interned", stats.users),
             (
                 "rtim_oracle_updates_total",
@@ -718,9 +730,15 @@ mod tests {
             assert!(text.contains(&type_line), "missing {type_line:?}");
         }
         // Every sample line is `name[{labels}] value` with a numeric value.
-        for line in text.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        for line in text
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        {
             let (_, value) = line.rsplit_once(' ').expect("sample line without value");
-            assert!(value.parse::<f64>().is_ok(), "unparseable value in {line:?}");
+            assert!(
+                value.parse::<f64>().is_ok(),
+                "unparseable value in {line:?}"
+            );
         }
     }
 

@@ -734,7 +734,11 @@ mod tests {
         assert!(max - min <= 1, "counts: {:?}", pool.counts);
         assert_eq!(pool.checkpoint_count(), 5);
         // The moved checkpoints are still fed and still report.
-        let mut fed: Vec<u64> = pool.feed(&slide()[8..], None).iter().map(|(s, _)| s.start).collect();
+        let mut fed: Vec<u64> = pool
+            .feed(&slide()[8..], None)
+            .iter()
+            .map(|(s, _)| s.start)
+            .collect();
         fed.sort_unstable();
         let mut owned: Vec<u64> = pool.assignment.keys().copied().collect();
         owned.sort_unstable();

@@ -285,7 +285,13 @@ mod tests {
                 v,
                 bound * opt
             );
-            assert!(v <= *opt + 1e-9, "t={} value {} above optimum {}", 8 + i, v, opt);
+            assert!(
+                v <= *opt + 1e-9,
+                "t={} value {} above optimum {}",
+                8 + i,
+                v,
+                opt
+            );
         }
     }
 

@@ -38,8 +38,7 @@ use crate::ic::IcFramework;
 use crate::sic::SicFramework;
 use rtim_stream::persist::faultfs::Fs;
 use rtim_stream::persist::segjournal::{
-    read_journal_dir, resume_plan, CompletedSegment, JournalDirContents, JournalResume,
-    ResumePoint,
+    read_journal_dir, resume_plan, CompletedSegment, JournalDirContents, JournalResume, ResumePoint,
 };
 use rtim_stream::persist::state::{
     decode_actions, decode_influence_sets, decode_propagation_index, encode_actions,
@@ -172,7 +171,9 @@ fn oracle_kind_from_tag(tag: u8) -> Result<OracleKind, StateError> {
         0 => Ok(OracleKind::SieveStreaming),
         1 => Ok(OracleKind::ThresholdStream),
         2 => Ok(OracleKind::Swap),
-        other => Err(StateError::Corrupt(format!("unknown oracle kind tag {other}"))),
+        other => Err(StateError::Corrupt(format!(
+            "unknown oracle kind tag {other}"
+        ))),
     }
 }
 
@@ -473,10 +474,7 @@ impl SimEngine {
 /// the publish even though the data blocks survived).
 ///
 /// Returns the encoded size in bytes.
-pub fn write_snapshot_atomic(
-    path: impl AsRef<Path>,
-    snapshot: &EngineSnapshot,
-) -> io::Result<u64> {
+pub fn write_snapshot_atomic(path: impl AsRef<Path>, snapshot: &EngineSnapshot) -> io::Result<u64> {
     write_snapshot_atomic_with(path.as_ref(), snapshot, &Fs::real())
 }
 
@@ -632,7 +630,11 @@ pub fn recover_engine_with(
         Err(e) => {
             notes.push(format!(
                 "journal directory is unreadable ({e}); starting a fresh journal{}",
-                if used_snapshot { " from the snapshot" } else { "" }
+                if used_snapshot {
+                    " from the snapshot"
+                } else {
+                    ""
+                }
             ));
             JournalDirContents::default()
         }
@@ -1107,7 +1109,10 @@ mod tests {
         let new = SimConfig::new(3, 0.3, 8, 2); // operator changed k
         let outcome = recover_engine(new, FrameworkKind::Ic, &dir);
         assert!(!outcome.used_snapshot);
-        assert!(outcome.notes.iter().any(|n| n.contains("different configuration")));
+        assert!(outcome
+            .notes
+            .iter()
+            .any(|n| n.contains("different configuration")));
         assert_eq!(outcome.engine.config().k, 3);
         std::fs::remove_dir_all(&dir).ok();
     }

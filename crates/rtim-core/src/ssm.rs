@@ -126,8 +126,12 @@ impl Checkpoint {
     ) {
         debug_assert!(action.id >= self.start, "checkpoint fed an older action");
         self.scratch.clear();
-        self.accumulator
-            .apply_into_arena(action.actor, &action.ancestors, &mut self.scratch, arena);
+        self.accumulator.apply_into_arena(
+            action.actor,
+            &action.ancestors,
+            &mut self.scratch,
+            arena,
+        );
         for &user in &self.scratch {
             let set = self
                 .accumulator
@@ -236,7 +240,11 @@ mod tests {
     }
 
     fn checkpoint(start: u64, k: usize, beta: f64) -> Checkpoint {
-        Checkpoint::new(start, OracleKind::SieveStreaming, OracleConfig::new(k, beta))
+        Checkpoint::new(
+            start,
+            OracleKind::SieveStreaming,
+            OracleConfig::new(k, beta),
+        )
     }
 
     #[test]

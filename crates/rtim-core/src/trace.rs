@@ -248,12 +248,7 @@ impl TraceWriter {
     /// when present, else at the enqueue stamp, else at `dequeue_nanos` —
     /// so the per-stage durations (disjoint sub-intervals measured against
     /// the recorder epoch) always sum to at most the recorded total.
-    pub fn request(
-        &mut self,
-        span: SpanCtx,
-        dequeue_nanos: u64,
-        stages: &[(TraceStage, u64)],
-    ) {
+    pub fn request(&mut self, span: SpanCtx, dequeue_nanos: u64, stages: &[(TraceStage, u64)]) {
         let end_nanos = self.now_nanos();
         let queue_wait = match span.enqueue_nanos {
             0 => 0,
@@ -400,11 +395,7 @@ impl FlightRecorder {
     pub fn dump(&self, max_events: usize, slow_only: bool) -> TraceDump {
         let mut events = Vec::new();
         if !slow_only && max_events > 0 {
-            let lanes: Vec<Arc<Lane>> = self
-                .lanes
-                .lock()
-                .expect("lane registry poisoned")
-                .clone();
+            let lanes: Vec<Arc<Lane>> = self.lanes.lock().expect("lane registry poisoned").clone();
             let mut indexed: Vec<(u64, TraceEvent)> = Vec::new();
             for lane in &lanes {
                 lane.snapshot(&mut indexed);

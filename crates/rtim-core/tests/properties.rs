@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rtim_core::{
-    Checkpoint, FrameworkKind, Framework, IcFramework, ResolvedAction, SicFramework, SimConfig,
+    Checkpoint, Framework, FrameworkKind, IcFramework, ResolvedAction, SicFramework, SimConfig,
 };
 use rtim_stream::{PropagationIndex, UserId};
 use rtim_submodular::{DenseWeights, OracleConfig, OracleKind};

@@ -42,7 +42,9 @@ fn synth(batches: usize) -> Vec<Action> {
     let mut actions = Vec::with_capacity(n as usize);
     let mut state = 0xA076_1D64_78BD_642Fu64;
     for t in 1..=n {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let user = ((state >> 33) % 23) as u32;
         let is_reply = t > 1 && state % 10 < 6;
         actions.push(if is_reply {

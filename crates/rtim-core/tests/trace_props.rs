@@ -107,7 +107,11 @@ fn racing_reader_never_observes_a_torn_event() {
         let dump = recorder.dump(usize::MAX, false);
         let mut last = None;
         for e in &dump.events {
-            assert_eq!(e.duration_nanos, e.nanos.wrapping_mul(3), "torn event: {e:?}");
+            assert_eq!(
+                e.duration_nanos,
+                e.nanos.wrapping_mul(3),
+                "torn event: {e:?}"
+            );
             assert_eq!(e.conn, e.nanos.wrapping_add(7), "torn event: {e:?}");
             assert_eq!(e.corr, e.nanos as u32, "torn event: {e:?}");
             if let Some(prev) = last {

@@ -207,7 +207,9 @@ mod tests {
         assert_eq!(DatasetKind::parse("bogus"), None);
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("small"), Some(Scale::Small));
-        assert!(matches!(Scale::parse("0.05"), Some(Scale::Fraction(f)) if (f - 0.05).abs() < 1e-12));
+        assert!(
+            matches!(Scale::parse("0.05"), Some(Scale::Fraction(f)) if (f - 0.05).abs() < 1e-12)
+        );
         assert_eq!(Scale::parse("wat"), None);
     }
 

@@ -119,9 +119,9 @@ impl SocialSimConfig {
         // Per-depth buffers of recent action ids; their retention span
         // controls the response-distance distribution (mean of a uniform
         // draw over the last `span` actions is span/2).
-        let span =
-            ((self.actions as f64 * self.kind.target_distance_fraction() * 2.0).ceil() as usize)
-                .clamp(8, 4_000_000);
+        let span = ((self.actions as f64 * self.kind.target_distance_fraction() * 2.0).ceil()
+            as usize)
+            .clamp(8, 4_000_000);
         let mut by_depth: Vec<VecDeque<u64>> = Vec::new(); // recent action ids per depth level
 
         let mut actions: Vec<Action> = Vec::with_capacity(self.actions as usize);
@@ -139,17 +139,15 @@ impl SocialSimConfig {
                 None
             } else {
                 let want = (position - 2) as usize; // depth d is stored at index d-1
-                (0..=want.min(by_depth.len() - 1))
-                    .rev()
-                    .find_map(|lvl| {
-                        let buf = &by_depth[lvl];
-                        if buf.is_empty() {
-                            None
-                        } else {
-                            let i = rng.gen_range(0..buf.len());
-                            Some((buf[i], (lvl + 1) as u32))
-                        }
-                    })
+                (0..=want.min(by_depth.len() - 1)).rev().find_map(|lvl| {
+                    let buf = &by_depth[lvl];
+                    if buf.is_empty() {
+                        None
+                    } else {
+                        let i = rng.gen_range(0..buf.len());
+                        Some((buf[i], (lvl + 1) as u32))
+                    }
+                })
             };
             let (action, depth) = match parent {
                 Some((pid, parent_depth)) => (Action::reply(t, user, pid), parent_depth + 1),
@@ -164,7 +162,9 @@ impl SocialSimConfig {
             // Evict entries outside the recency span (bounded per level).
             let per_level_cap = (span / (lvl + 1)).max(4);
             while buf.len() > per_level_cap
-                || buf.front().is_some_and(|&id| t.saturating_sub(id) > span as u64)
+                || buf
+                    .front()
+                    .is_some_and(|&id| t.saturating_sub(id) > span as u64)
             {
                 buf.pop_front();
             }

@@ -229,10 +229,7 @@ mod tests {
         let seeds = [UserId(1)];
         let est_rr = rr.estimate_spread(&g, &seeds);
         let est_mc = monte_carlo_spread(&g, &seeds, 30_000, &mut r);
-        assert!(
-            (est_rr - est_mc).abs() < 0.15,
-            "rr {est_rr} vs mc {est_mc}"
-        );
+        assert!((est_rr - est_mc).abs() < 0.15, "rr {est_rr} vs mc {est_mc}");
     }
 
     #[test]

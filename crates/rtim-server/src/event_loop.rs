@@ -1028,7 +1028,9 @@ impl LoopThread {
     /// threads round-robin.
     fn accept_new(&mut self) {
         loop {
-            let Some(listener) = &self.listener else { return };
+            let Some(listener) = &self.listener else {
+                return;
+            };
             match listener.accept() {
                 Ok((stream, _)) => {
                     let sender = self.spawner.sender();

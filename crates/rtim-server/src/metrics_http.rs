@@ -102,7 +102,9 @@ impl Drop for MetricsSidecar {
 
 impl std::fmt::Debug for MetricsSidecar {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsSidecar").field("addr", &self.addr).finish()
+        f.debug_struct("MetricsSidecar")
+            .field("addr", &self.addr)
+            .finish()
     }
 }
 
@@ -134,7 +136,9 @@ fn read_request(stream: &mut TcpStream) -> io::Result<Option<String>> {
     let mut chunk = [0u8; 512];
     loop {
         let now = Instant::now();
-        let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
+        let Some(remaining) = deadline
+            .checked_duration_since(now)
+            .filter(|d| !d.is_zero())
         else {
             return Ok(None);
         };
@@ -169,7 +173,11 @@ fn read_request(stream: &mut TcpStream) -> io::Result<Option<String>> {
 /// Parses one HTTP request and answers it: `GET /metrics` → 200 with the
 /// Prometheus text; `GET /trace` → 200 with recorder JSON lines; any
 /// other path → 404; any other method → 405 (with `Allow: GET`).
-fn serve_one(stream: TcpStream, metrics: &EngineMetrics, recorder: Option<&FlightRecorder>) -> io::Result<()> {
+fn serve_one(
+    stream: TcpStream,
+    metrics: &EngineMetrics,
+    recorder: Option<&FlightRecorder>,
+) -> io::Result<()> {
     stream.set_write_timeout(Some(REQUEST_TIMEOUT))?;
     let mut stream = stream;
     let Some(request) = read_request(&mut stream)? else {
@@ -207,10 +215,17 @@ fn serve_one(stream: TcpStream, metrics: &EngineMetrics, recorder: Option<&Fligh
                 Some(recorder) => recorder.dump(max_events, slow_only),
                 None => TraceDump::default(),
             };
-            ("application/jsonlines; charset=utf-8", render_trace_json(&dump))
+            (
+                "application/jsonlines; charset=utf-8",
+                render_trace_json(&dump),
+            )
         }
         _ => {
-            return respond(&mut stream, "404 Not Found", "try GET /metrics or GET /trace\n")
+            return respond(
+                &mut stream,
+                "404 Not Found",
+                "try GET /metrics or GET /trace\n",
+            )
         }
     };
     let header = format!(
@@ -272,8 +287,10 @@ fn json_corr(corr: u32) -> String {
 }
 
 fn render_event_json(event: &TraceEvent) -> String {
-    let stage = TraceStage::from_code(event.stage)
-        .map_or_else(|| format!("stage_{}", event.stage), |s| s.name().to_string());
+    let stage = TraceStage::from_code(event.stage).map_or_else(
+        || format!("stage_{}", event.stage),
+        |s| s.name().to_string(),
+    );
     format!(
         "{{\"type\":\"event\",\"stage\":\"{stage}\",\"nanos\":{},\"duration_nanos\":{},\
          \"conn\":{},\"corr\":{},\"lane\":{},\"aux\":{}}}",
@@ -405,7 +422,10 @@ mod tests {
         let ok = get(addr, "GET /trace HTTP/1.0\r\n\r\n");
         assert!(ok.starts_with("HTTP/1.0 200 OK\r\n"), "{ok}");
         let body = ok.split_once("\r\n\r\n").unwrap().1;
-        assert!(body.lines().next().unwrap().contains("\"type\":\"totals\""), "{body}");
+        assert!(
+            body.lines().next().unwrap().contains("\"type\":\"totals\""),
+            "{body}"
+        );
         assert!(body.contains("\"stage\":\"parse\""), "{body}");
         assert!(body.contains("\"stage\":\"queue_wait\""), "{body}");
         assert!(body.contains("\"type\":\"slow_op\""), "{body}");

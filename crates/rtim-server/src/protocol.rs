@@ -255,7 +255,7 @@ impl From<io::Error> for FrameError {
 pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
     let start = out.len();
     out.extend_from_slice(&[0u8; 5]); // tag + length, patched below
-    // A correlated frame is its v1 sibling with the corr prepended.
+                                      // A correlated frame is its v1 sibling with the corr prepended.
     let corr = frame.corr();
     if let Some(c) = corr {
         out.extend_from_slice(&c.to_le_bytes());
@@ -952,7 +952,10 @@ mod tests {
             read_frame(&mut cursor).unwrap(),
             Frame::Ingest { .. }
         ));
-        assert_eq!(read_frame(&mut cursor).unwrap(), Frame::Query { corr: None });
+        assert_eq!(
+            read_frame(&mut cursor).unwrap(),
+            Frame::Query { corr: None }
+        );
         assert_eq!(read_frame(&mut cursor).unwrap(), Frame::Shutdown);
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
     }

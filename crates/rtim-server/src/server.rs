@@ -439,9 +439,7 @@ mod tests {
         client.query().unwrap();
 
         let mut scrape = std::net::TcpStream::connect(scrape_addr).unwrap();
-        scrape
-            .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
-            .unwrap();
+        scrape.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
         let mut response = String::new();
         scrape.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.0 200 OK"));

@@ -45,13 +45,7 @@ fn client_script(seed: u64, actions: usize, users: u32) -> Vec<Action> {
 /// script in `batch`-sized chunks (with `window` correlated ingests in
 /// flight when `window > 1`), then checks the final answer against the
 /// offline replay of the journal.
-fn run_case(
-    threads: usize,
-    clients: usize,
-    per_client: usize,
-    loop_threads: usize,
-    window: usize,
-) {
+fn run_case(threads: usize, clients: usize, per_client: usize, loop_threads: usize, window: usize) {
     const L: usize = 100;
     let config = SimConfig::new(5, 0.5, 1_000, L).with_threads(threads);
     let server = RtimServer::bind(
@@ -261,7 +255,9 @@ fn scraping_does_not_perturb_bit_identity_under_256_connections() {
     );
 
     let mut offline = SimEngine::new_sic(config);
-    let offline_solution = offline.run_stream(&report.journal.unwrap()).final_solution();
+    let offline_solution = offline
+        .run_stream(&report.journal.unwrap())
+        .final_solution();
     assert_eq!(live.seeds, offline_solution.seeds, "{scrapes} scrapes");
     assert_eq!(
         live.value.to_bits(),
@@ -311,7 +307,9 @@ fn eight_clients_interleave_cleanly() {
     let report = server.wait();
     assert_eq!(report.stats.actions, 8 * 600);
     let mut offline = SimEngine::new_ic(config);
-    let offline_solution = offline.run_stream(&report.journal.unwrap()).final_solution();
+    let offline_solution = offline
+        .run_stream(&report.journal.unwrap())
+        .final_solution();
     assert_eq!(live.seeds, offline_solution.seeds);
     assert_eq!(live.value.to_bits(), offline_solution.value.to_bits());
 }

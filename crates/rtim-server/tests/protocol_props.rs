@@ -52,63 +52,65 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
         prop::collection::vec(0u16..128, 0..40),
         corr_strategy(),
     )
-        .prop_map(|(pick, batch, seeds, number, value, text, corr)| match pick {
-            0 => Frame::Hello {
-                version: (number % 256) as u8,
-            },
-            1 => Frame::Ingest {
-                actions: batch,
-                corr,
-            },
-            2 => Frame::Query { corr },
-            3 => Frame::Stats { corr },
-            4 => Frame::Shutdown,
-            5 => Frame::Ack {
-                accepted: number,
-                queue_depth: (number % 4096) as u32,
-                corr,
-            },
-            6 => Frame::Solution {
-                solution: Solution {
-                    seeds: seeds.into_iter().map(UserId).collect(),
-                    value,
+        .prop_map(
+            |(pick, batch, seeds, number, value, text, corr)| match pick {
+                0 => Frame::Hello {
+                    version: (number % 256) as u8,
                 },
-                corr,
-            },
-            7 => Frame::StatsReply {
-                stats: EngineStats {
-                    actions: number,
-                    batches: number / 3,
-                    slides: number / 7,
-                    checkpoints: number % 100,
-                    oracle_updates: number / 2,
-                    feed_nanos: number,
-                    query_nanos: number / 5,
-                    queue_depth: number % 64,
-                    max_queue_depth: number % 128,
-                    users: number % 1_000_000,
-                    orphaned_replies: number % 17,
-                    shard_migrations: number % 23,
-                    shard_ewma_min_nanos: number / 11,
-                    shard_ewma_max_nanos: number / 9,
-                    journal_lag_batches: number % 13,
-                    snapshot_age_slides: number / 13,
-                    durability_state: number % 3,
+                1 => Frame::Ingest {
+                    actions: batch,
+                    corr,
                 },
-                corr,
+                2 => Frame::Query { corr },
+                3 => Frame::Stats { corr },
+                4 => Frame::Shutdown,
+                5 => Frame::Ack {
+                    accepted: number,
+                    queue_depth: (number % 4096) as u32,
+                    corr,
+                },
+                6 => Frame::Solution {
+                    solution: Solution {
+                        seeds: seeds.into_iter().map(UserId).collect(),
+                        value,
+                    },
+                    corr,
+                },
+                7 => Frame::StatsReply {
+                    stats: EngineStats {
+                        actions: number,
+                        batches: number / 3,
+                        slides: number / 7,
+                        checkpoints: number % 100,
+                        oracle_updates: number / 2,
+                        feed_nanos: number,
+                        query_nanos: number / 5,
+                        queue_depth: number % 64,
+                        max_queue_depth: number % 128,
+                        users: number % 1_000_000,
+                        orphaned_replies: number % 17,
+                        shard_migrations: number % 23,
+                        shard_ewma_min_nanos: number / 11,
+                        shard_ewma_max_nanos: number / 9,
+                        journal_lag_batches: number % 13,
+                        snapshot_age_slides: number / 13,
+                        durability_state: number % 3,
+                    },
+                    corr,
+                },
+                8 => Frame::Busy {
+                    capacity: (number % 100_000) as u32,
+                    corr,
+                },
+                _ => Frame::Error {
+                    message: text
+                        .into_iter()
+                        .map(|c| char::from_u32(u32::from(c) + 32).unwrap_or('?'))
+                        .collect(),
+                    corr,
+                },
             },
-            8 => Frame::Busy {
-                capacity: (number % 100_000) as u32,
-                corr,
-            },
-            _ => Frame::Error {
-                message: text
-                    .into_iter()
-                    .map(|c| char::from_u32(u32::from(c) + 32).unwrap_or('?'))
-                    .collect(),
-                corr,
-            },
-        })
+        )
 }
 
 proptest! {

@@ -18,7 +18,10 @@ use std::path::PathBuf;
 
 fn temp_dir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("rtim-server-recovery-{}-{name}", std::process::id()));
+    p.push(format!(
+        "rtim-server-recovery-{}-{name}",
+        std::process::id()
+    ));
     std::fs::remove_dir_all(&p).ok();
     std::fs::create_dir_all(&p).unwrap();
     p
@@ -30,7 +33,9 @@ fn synth_actions(n: u64) -> Vec<Action> {
     let mut actions = Vec::with_capacity(n as usize);
     let mut state = 0x9E37_79B9u64;
     for t in 1..=n {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let user = (state >> 33) % 97;
         let is_reply = t > 1 && state % 10 < 6;
         actions.push(if is_reply {
@@ -110,9 +115,9 @@ fn restarted_server_answers_bit_identically_at_threads_1_and_4() {
                 .map(|a| Action {
                     id: rtim_stream::ActionId(a.id.0 - 500),
                     user: a.user,
-                    parent: a.parent.and_then(|p| {
-                        (p.0 > 500).then(|| rtim_stream::ActionId(p.0 - 500))
-                    }),
+                    parent: a
+                        .parent
+                        .and_then(|p| (p.0 > 500).then(|| rtim_stream::ActionId(p.0 - 500))),
                 })
                 .collect();
             for chunk in tail.chunks(50) {
@@ -184,9 +189,7 @@ fn torn_journal_tail_is_dropped_at_recovery() {
     assert_eq!(client.stats().unwrap().actions, 200);
     // The resumed journal truncated the torn tail: ingesting more keeps
     // the segment parseable end to end.
-    client
-        .ingest_blocking(&[Action::root(1u64, 7u32)])
-        .unwrap();
+    client.ingest_blocking(&[Action::root(1u64, 7u32)]).unwrap();
     let _ = client.query().unwrap();
     drop(client);
     server.shutdown();
@@ -246,11 +249,8 @@ fn corrupt_snapshot_falls_back_to_full_replay_with_identical_answers() {
 #[test]
 fn snapshot_without_persistence_reports_an_error() {
     let config = SimConfig::new(2, 0.3, 8, 2);
-    let server = RtimServer::bind(
-        "127.0.0.1:0",
-        ServerConfig::new(config, FrameworkKind::Ic),
-    )
-    .unwrap();
+    let server =
+        RtimServer::bind("127.0.0.1:0", ServerConfig::new(config, FrameworkKind::Ic)).unwrap();
     let mut client = RtimClient::connect(server.local_addr()).unwrap();
     let err = client.snapshot().unwrap_err();
     assert!(err.to_string().contains("not configured"), "{err}");
@@ -258,7 +258,10 @@ fn snapshot_without_persistence_reports_an_error() {
     client.ingest_blocking(&[Action::root(1u64, 1u32)]).unwrap();
     let stats = client.stats().unwrap();
     assert_eq!(stats.actions, 1);
-    assert_eq!(stats.durability_state, DurabilityState::Disabled.wire_code());
+    assert_eq!(
+        stats.durability_state,
+        DurabilityState::Disabled.wire_code()
+    );
     drop(client);
     server.shutdown();
 }

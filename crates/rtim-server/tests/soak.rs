@@ -190,7 +190,10 @@ fn soak_sustained_ingest_with_queries_and_a_dropping_client() {
         .all(|slide| slide.queue_depth.is_some_and(|d| d <= capacity)));
     // Clean drain: everything ACKed was processed (half-written frames
     // never reached the queue, so the counts match exactly).
-    assert_eq!(report.stats.actions, total_acked, "drain lost acked actions");
+    assert_eq!(
+        report.stats.actions, total_acked,
+        "drain lost acked actions"
+    );
     assert_eq!(report.final_solution, live);
     assert!(report.stats.checkpoints > 0);
 }
@@ -234,8 +237,7 @@ fn soak_slowloris_reconnect_storm_and_idle_horde() {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut socket = std::net::TcpStream::connect(addr).unwrap();
-                let batch: Vec<Action> =
-                    (1..=200u64).map(|t| Action::root(t, t as u32)).collect();
+                let batch: Vec<Action> = (1..=200u64).map(|t| Action::root(t, t as u32)).collect();
                 let frame = protocol::encode_frame(&Frame::Ingest {
                     actions: batch,
                     corr: None,

@@ -55,11 +55,7 @@ impl WordArena {
     pub fn take_zeroed(&mut self, words: usize) -> Vec<u64> {
         self.takes += 1;
         let class = Self::class_of(words.max(1));
-        if let Some(mut buf) = self
-            .classes
-            .get_mut(class)
-            .and_then(|bucket| bucket.pop())
-        {
+        if let Some(mut buf) = self.classes.get_mut(class).and_then(|bucket| bucket.pop()) {
             self.hits += 1;
             buf.clear();
             buf.resize(words, 0);

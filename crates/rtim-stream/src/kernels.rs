@@ -206,8 +206,8 @@ mod simd {
 
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_andnot_si256,
-        _mm256_extract_epi64, _mm256_set1_epi8, _mm256_set_epi64x, _mm256_setr_epi8,
-        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_sad_epu8,
+        _mm256_extract_epi64, _mm256_sad_epu8, _mm256_set1_epi8, _mm256_set_epi64x,
+        _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi16,
     };
 
     /// Below this many words the per-call AVX2 setup (vector build +
@@ -448,7 +448,10 @@ mod tests {
             }
             let mut a = covered.clone();
             let mut b = covered.clone();
-            assert_eq!(absorb_count(&set, &mut a), reference::absorb_count(&set, &mut b));
+            assert_eq!(
+                absorb_count(&set, &mut a),
+                reference::absorb_count(&set, &mut b)
+            );
             assert_eq!(a, b);
             assert_eq!(and_not_popcount(&set, &a), 0, "absorb must cover the set");
         }

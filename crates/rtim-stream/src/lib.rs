@@ -57,9 +57,9 @@ pub mod window;
 
 pub use action::{Action, ActionId, Timestamp, UserId};
 pub use arena::WordArena;
-pub use kernels::{absorb_count, and_not_popcount, and_not_popcount_at_least, popcount_words};
 pub use influence::{window_influence_sets, InfluenceAccumulator, InfluenceSets};
 pub use influence_set::{InfluenceSet, SetIter, SetView};
+pub use kernels::{absorb_count, and_not_popcount, and_not_popcount_at_least, popcount_words};
 pub use persist::faultfs::{DurableFile, FaultInjector, FaultKind, FaultRule, Fs, OpKind};
 pub use persist::journal::{read_journal, read_journal_with, JournalContents, JournalWriter};
 pub use persist::segjournal::{

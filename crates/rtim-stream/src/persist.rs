@@ -130,7 +130,11 @@ fn decode_records_into(
         out.push(Action {
             id: ActionId(id),
             user: UserId(user),
-            parent: if parent == 0 { None } else { Some(ActionId(parent)) },
+            parent: if parent == 0 {
+                None
+            } else {
+                Some(ActionId(parent))
+            },
         });
     }
     if data.remaining() > 0 {
@@ -309,7 +313,9 @@ pub fn read_text<R: Read>(reader: R) -> Result<SocialStream, TraceError> {
                 )));
             }
             if !seen.contains(&p) {
-                return Err(invalid(format!("action {id} replies to unknown action {p}")));
+                return Err(invalid(format!(
+                    "action {id} replies to unknown action {p}"
+                )));
             }
         }
         seen.insert(id);
@@ -357,9 +363,15 @@ mod tests {
         assert!(matches!(decode_binary(b"nope"), Err(TraceError::BadHeader)));
         let mut corrupted = bytes.to_vec();
         corrupted[0] = b'X';
-        assert!(matches!(decode_binary(&corrupted), Err(TraceError::BadHeader)));
+        assert!(matches!(
+            decode_binary(&corrupted),
+            Err(TraceError::BadHeader)
+        ));
         let truncated = &bytes[..bytes.len() - 5];
-        assert!(matches!(decode_binary(truncated), Err(TraceError::Truncated)));
+        assert!(matches!(
+            decode_binary(truncated),
+            Err(TraceError::Truncated)
+        ));
     }
 
     #[test]
@@ -414,7 +426,10 @@ mod tests {
         let err = read_text("\u{feff}# h\r\n1,5,\r\nbogus\r\n".as_bytes())
             .unwrap_err()
             .to_string();
-        assert!(err.contains("line 3:") && err.contains("bad timestamp"), "{err}");
+        assert!(
+            err.contains("line 3:") && err.contains("bad timestamp"),
+            "{err}"
+        );
     }
 
     /// Every text-format error carries the 1-based line number of the
@@ -445,7 +460,10 @@ mod tests {
         let err = read_text("1,5,\n2,6,1,junk\n".as_bytes())
             .unwrap_err()
             .to_string();
-        assert!(err.contains("line 2:") && err.contains("trailing garbage"), "{err}");
+        assert!(
+            err.contains("line 2:") && err.contains("trailing garbage"),
+            "{err}"
+        );
         // An empty fourth field is still garbage (an extra comma).
         assert!(read_text("1,5,,\n".as_bytes()).is_err());
     }
@@ -488,7 +506,10 @@ mod tests {
         ));
         let mut trailing = bytes.to_vec();
         trailing.push(0);
-        assert!(matches!(decode_batch(&trailing), Err(TraceError::Invalid(_))));
+        assert!(matches!(
+            decode_batch(&trailing),
+            Err(TraceError::Invalid(_))
+        ));
         // Non-increasing ids within the batch.
         let mut buf = BytesMut::new();
         buf.put_slice(b"RTAB");

@@ -210,7 +210,9 @@ impl FaultInjector {
 
     fn parse_rule(raw: &str) -> Option<FaultRule> {
         if let Some(at) = raw.strip_prefix("crash@") {
-            return Some(FaultRule::CrashAt { at: at.parse().ok()? });
+            return Some(FaultRule::CrashAt {
+                at: at.parse().ok()?,
+            });
         }
         let (kind, rest) = raw.split_once(':')?;
         let kind = match kind {
@@ -244,7 +246,12 @@ impl FaultInjector {
         } else {
             (tail.parse().ok()?, 1)
         };
-        Some(FaultRule::Window { op, kind, from, count })
+        Some(FaultRule::Window {
+            op,
+            kind,
+            from,
+            count,
+        })
     }
 
     /// Total ops observed so far (for crash-point sweeps).
@@ -274,7 +281,12 @@ impl FaultInjector {
         let mut verdict = None;
         for (i, rule) in self.rules.iter().enumerate() {
             match rule {
-                FaultRule::Window { op: want, kind, from, count } => {
+                FaultRule::Window {
+                    op: want,
+                    kind,
+                    from,
+                    count,
+                } => {
                     if want.is_none_or(|w| w == op) {
                         st.matched[i] += 1;
                         let n = st.matched[i];
@@ -283,7 +295,12 @@ impl FaultInjector {
                         }
                     }
                 }
-                FaultRule::Seeded { op: want, kind, seed, per_mille } => {
+                FaultRule::Seeded {
+                    op: want,
+                    kind,
+                    seed,
+                    per_mille,
+                } => {
                     if want.is_none_or(|w| w == op) {
                         st.matched[i] += 1;
                         let roll = splitmix64(seed ^ st.matched[i]) % 1000;
@@ -333,9 +350,7 @@ impl Fs {
     /// silently ignoring it would turn a fault-matrix run into a no-op.
     pub fn from_env() -> Result<Fs, String> {
         match std::env::var("RTIM_FAULT") {
-            Ok(spec) if !spec.trim().is_empty() => {
-                Ok(Fs::faulty(FaultInjector::from_spec(&spec)?))
-            }
+            Ok(spec) if !spec.trim().is_empty() => Ok(Fs::faulty(FaultInjector::from_spec(&spec)?)),
             _ => Ok(Fs::real()),
         }
     }
@@ -570,7 +585,9 @@ mod tests {
                 seed,
                 per_mille: 400,
             }]);
-            (0..64).map(|_| inj.check(OpKind::Write).is_some()).collect()
+            (0..64)
+                .map(|_| inj.check(OpKind::Write).is_some())
+                .collect()
         };
         let a = decide(7);
         assert_eq!(a, decide(7), "same seed, same schedule");
@@ -586,20 +603,42 @@ mod tests {
         let inj = FaultInjector::from_spec("enospc:write@5").unwrap();
         assert!(matches!(
             inj.rules[0],
-            FaultRule::Window { op: Some(OpKind::Write), kind: FaultKind::Enospc, from: 5, count: 1 }
+            FaultRule::Window {
+                op: Some(OpKind::Write),
+                kind: FaultKind::Enospc,
+                from: 5,
+                count: 1
+            }
         ));
         let inj = FaultInjector::from_spec("eio:fsync@2+").unwrap();
         assert!(matches!(
             inj.rules[0],
-            FaultRule::Window { kind: FaultKind::Eio, from: 2, count: u64::MAX, .. }
+            FaultRule::Window {
+                kind: FaultKind::Eio,
+                from: 2,
+                count: u64::MAX,
+                ..
+            }
         ));
         let inj = FaultInjector::from_spec("short:write@3x4,crash@9").unwrap();
-        assert!(matches!(inj.rules[0], FaultRule::Window { from: 3, count: 4, .. }));
+        assert!(matches!(
+            inj.rules[0],
+            FaultRule::Window {
+                from: 3,
+                count: 4,
+                ..
+            }
+        ));
         assert!(matches!(inj.rules[1], FaultRule::CrashAt { at: 9 }));
         let inj = FaultInjector::from_spec("eio:any~42/250").unwrap();
         assert!(matches!(
             inj.rules[0],
-            FaultRule::Seeded { op: None, seed: 42, per_mille: 250, .. }
+            FaultRule::Seeded {
+                op: None,
+                seed: 42,
+                per_mille: 250,
+                ..
+            }
         ));
         assert!(FaultInjector::from_spec("bogus@3").is_err());
         assert!(FaultInjector::from_spec("eio:teleport@3").is_err());

@@ -155,7 +155,11 @@ pub fn read_journal_with(path: &Path, fs: &Fs) -> Result<JournalContents, StateE
                     batch.push(Action {
                         id: ActionId(id),
                         user: UserId(user),
-                        parent: if parent == 0 { None } else { Some(ActionId(parent)) },
+                        parent: if parent == 0 {
+                            None
+                        } else {
+                            Some(ActionId(parent))
+                        },
                     });
                 }
                 contents.batches.push(batch);

@@ -33,9 +33,7 @@
 //!   append, so stale high-numbered files can never shadow fresh writes.
 
 use super::faultfs::Fs;
-use super::journal::{
-    read_journal_with, JournalContents, JournalWriter, HEADER_BYTES,
-};
+use super::journal::{read_journal_with, JournalContents, JournalWriter, HEADER_BYTES};
 use super::state::StateError;
 use crate::action::Action;
 use std::io;
@@ -723,7 +721,11 @@ mod tests {
         j.append_batch(&roots(10..=12)).unwrap();
         j.sync().unwrap();
         assert_eq!(j.segments(), 2);
-        assert_eq!(j.compact(12).unwrap(), 1, "stale pre-degrade segment deleted");
+        assert_eq!(
+            j.compact(12).unwrap(),
+            1,
+            "stale pre-degrade segment deleted"
+        );
         drop(j);
         let contents = read_journal_dir(&dir, &fs).unwrap();
         assert_eq!(contents.segments.len(), 1);

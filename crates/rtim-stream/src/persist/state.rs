@@ -104,13 +104,7 @@ impl From<io::Error> for StateError {
 /// Renders a section tag for error messages (lossy for non-ASCII tags).
 fn tag_name(tag: &[u8; 4]) -> String {
     tag.iter()
-        .map(|&b| {
-            if b.is_ascii_graphic() {
-                b as char
-            } else {
-                '?'
-            }
-        })
+        .map(|&b| if b.is_ascii_graphic() { b as char } else { '?' })
         .collect()
 }
 
@@ -122,7 +116,11 @@ const CRC_TABLE: [u32; 256] = {
         let mut c = i as u32;
         let mut j = 0;
         while j < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             j += 1;
         }
         table[i] = c;
@@ -314,12 +312,16 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, StateError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, StateError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads a little-endian `i64`.
@@ -503,7 +505,11 @@ pub fn decode_actions(r: &mut ByteReader<'_>) -> Result<Vec<Action>, StateError>
         actions.push(Action {
             id: ActionId(id),
             user: UserId(user),
-            parent: if parent == 0 { None } else { Some(ActionId(parent)) },
+            parent: if parent == 0 {
+                None
+            } else {
+                Some(ActionId(parent))
+            },
         });
     }
     Ok(actions)
@@ -565,7 +571,8 @@ pub fn decode_propagation_index(r: &mut ByteReader<'_>) -> Result<PropagationInd
     // A record costs at least 8 + 4 + 4 + 4 bytes.
     let declared = r.u64()?;
     let count = r.array_len(declared, 20)?;
-    let mut index = PropagationIndex::from_parts(horizon, oldest_retained, latest, max_ancestors, stats);
+    let mut index =
+        PropagationIndex::from_parts(horizon, oldest_retained, latest, max_ancestors, stats);
     let mut last: Option<u64> = None;
     for _ in 0..count {
         let id = r.u64()?;

@@ -203,8 +203,7 @@ impl PropagationIndex {
                 (Vec::new(), 0)
             }
             Some(parent_id) => {
-                self.stats.total_response_distance +=
-                    action.id.0.saturating_sub(parent_id.0);
+                self.stats.total_response_distance += action.id.0.saturating_sub(parent_id.0);
                 match self.records.get(&parent_id) {
                     Some(parent) => {
                         self.stats.resolved_replies += 1;
@@ -314,7 +313,10 @@ mod tests {
             updated_per_action.push(idx.insert(a));
         }
         // a8 = <u4, a7>: ancestors are u5 (a7) and u3 (a3).
-        assert_eq!(idx.ancestor_users(ActionId(8)).unwrap(), &[UserId(5), UserId(3)]);
+        assert_eq!(
+            idx.ancestor_users(ActionId(8)).unwrap(),
+            &[UserId(5), UserId(3)]
+        );
         // Updated users for a8: u4 itself plus the two ancestors.
         assert_eq!(updated_per_action[7], vec![UserId(4), UserId(5), UserId(3)]);
         // a2 = <u2, a1>: single ancestor u1.

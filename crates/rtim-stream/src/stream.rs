@@ -53,7 +53,10 @@ impl SocialStream {
             }
             if let Some(p) = a.parent {
                 if p >= a.id {
-                    return Err(format!("action {} replies to a non-earlier action {}", a.id, p));
+                    return Err(format!(
+                        "action {} replies to a non-earlier action {}",
+                        a.id, p
+                    ));
                 }
                 if !seen.contains(&p) {
                     return Err(format!("action {} replies to unknown action {}", a.id, p));

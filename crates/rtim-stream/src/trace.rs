@@ -240,9 +240,8 @@ impl SlowOp {
 
     fn decode(bytes: &[u8]) -> SlowOp {
         debug_assert_eq!(bytes.len(), SLOW_OP_BYTES);
-        let u64_at = |o: usize| {
-            u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8-byte field"))
-        };
+        let u64_at =
+            |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8-byte field"));
         let mut stages = [0u64; SLOW_STAGES];
         for (i, s) in stages.iter_mut().enumerate() {
             *s = u64_at(32 + i * 8);
@@ -366,14 +365,18 @@ impl TraceDump {
             let count =
                 u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8-byte field"));
             let nanos = u64::from_le_bytes(
-                bytes[offset + 8..offset + 16].try_into().expect("8-byte field"),
+                bytes[offset + 8..offset + 16]
+                    .try_into()
+                    .expect("8-byte field"),
             );
             *slot = (count, nanos);
             offset += 16;
         }
         let mut events = Vec::with_capacity(event_count);
         for _ in 0..event_count {
-            events.push(TraceEvent::decode(&bytes[offset..offset + TRACE_EVENT_BYTES]));
+            events.push(TraceEvent::decode(
+                &bytes[offset..offset + TRACE_EVENT_BYTES],
+            ));
             offset += TRACE_EVENT_BYTES;
         }
         let mut slow_ops = Vec::with_capacity(slow_count);
@@ -422,7 +425,10 @@ mod tests {
     #[test]
     fn dump_round_trips() {
         let mut dump = TraceDump {
-            events: vec![event(10, TraceStage::Parse), event(20, TraceStage::ShardFeed)],
+            events: vec![
+                event(10, TraceStage::Parse),
+                event(20, TraceStage::ShardFeed),
+            ],
             slow_ops: vec![SlowOp {
                 conn: 1,
                 corr: 2,
@@ -465,7 +471,10 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_typed() {
-        assert_eq!(TraceDump::decode(b"NOPE00000000"), Err(TraceCodecError::BadHeader));
+        assert_eq!(
+            TraceDump::decode(b"NOPE00000000"),
+            Err(TraceCodecError::BadHeader)
+        );
         let mut bytes = TraceDump::default().encode();
         bytes[4] = 99;
         assert_eq!(

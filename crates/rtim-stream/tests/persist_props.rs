@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use rtim_stream::{
-    decode_batch, decode_binary, encode_batch, encode_binary, read_binary, read_text,
-    write_binary, write_text, Action, SocialStream, TraceError,
+    decode_batch, decode_binary, encode_batch, encode_binary, read_binary, read_text, write_binary,
+    write_text, Action, SocialStream, TraceError,
 };
 
 /// Builds a structurally valid stream from free-form generator output:
@@ -30,10 +30,7 @@ fn build_stream(spec: Vec<(u64, u32, Option<usize>)>) -> SocialStream {
 
 /// Strategy output feeding [`build_stream`].
 fn spec_strategy() -> impl Strategy<Value = Vec<(u64, u32, Option<usize>)>> {
-    prop::collection::vec(
-        (1u64..5, 0u32..500, prop::option::of(0usize..64)),
-        1..120,
-    )
+    prop::collection::vec((1u64..5, 0u32..500, prop::option::of(0usize..64)), 1..120)
 }
 
 proptest! {

@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 use rtim_stream::{
-    read_journal_dir, resume_plan, segment_file_name, Action, Fs, JournalWriter,
-    SegmentedJournal,
+    read_journal_dir, resume_plan, segment_file_name, Action, Fs, JournalWriter, SegmentedJournal,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -5,7 +5,9 @@
 //! persist codecs pin in `persist_props.rs`).
 
 use proptest::prelude::*;
-use rtim_stream::trace::{SlowOp, TraceCodecError, TraceDump, TraceEvent, SLOW_STAGES, STAGE_COUNT};
+use rtim_stream::trace::{
+    SlowOp, TraceCodecError, TraceDump, TraceEvent, SLOW_STAGES, STAGE_COUNT,
+};
 
 fn event_strategy() -> impl Strategy<Value = TraceEvent> {
     (
@@ -39,14 +41,16 @@ fn slow_strategy() -> impl Strategy<Value = SlowOp> {
         0u64..u64::MAX,
         prop::collection::vec(0u64..u64::MAX, SLOW_STAGES..SLOW_STAGES + 1),
     )
-        .prop_map(|(conn, corr, kind, start_nanos, total_nanos, stages)| SlowOp {
-            conn,
-            corr,
-            kind,
-            start_nanos,
-            total_nanos,
-            stages: stages.try_into().expect("exactly SLOW_STAGES entries"),
-        })
+        .prop_map(
+            |(conn, corr, kind, start_nanos, total_nanos, stages)| SlowOp {
+                conn,
+                corr,
+                kind,
+                start_nanos,
+                total_nanos,
+                stages: stages.try_into().expect("exactly SLOW_STAGES entries"),
+            },
+        )
 }
 
 fn dump_strategy() -> impl Strategy<Value = TraceDump> {
@@ -61,7 +65,9 @@ fn dump_strategy() -> impl Strategy<Value = TraceDump> {
         .prop_map(|(events, slow_ops, stage_totals)| TraceDump {
             events,
             slow_ops,
-            stage_totals: stage_totals.try_into().expect("exactly STAGE_COUNT entries"),
+            stage_totals: stage_totals
+                .try_into()
+                .expect("exactly STAGE_COUNT entries"),
         })
 }
 

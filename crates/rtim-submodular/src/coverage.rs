@@ -544,6 +544,9 @@ mod tests {
         }
         assert_eq!(bitmap.value(), hash.value());
         assert_eq!(bitmap.covered_count(), hash.covered_count());
-        assert_eq!(bitmap.absorb_one(&w, UserId(42)), hash.absorb_one(&w, UserId(42)));
+        assert_eq!(
+            bitmap.absorb_one(&w, UserId(42)),
+            hash.absorb_one(&w, UserId(42))
+        );
     }
 }

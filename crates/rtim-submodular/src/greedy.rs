@@ -52,7 +52,9 @@ pub fn greedy_max_coverage<W: ElementWeight>(
             if seeds.contains(&u) {
                 continue;
             }
-            let Some(set) = candidates.get(u) else { continue };
+            let Some(set) = candidates.get(u) else {
+                continue;
+            };
             let gain = cov.marginal_gain(weight, set);
             match best {
                 Some((_, g)) if g >= gain => {}
@@ -259,7 +261,11 @@ mod tests {
         // s1 covers {1..4}, s2 covers {1,2,5}, s3 covers {3,4,6}.
         // Greedy picks s1 first (4), then gains 2 -> 6; OPT is s2+s3 = 6... make
         // it strictly better: s2 covers {1,2,5,7}, s3 covers {3,4,6,8} -> OPT 8.
-        let inf = instance(&[(1, &[1, 2, 3, 4, 5]), (2, &[1, 2, 5, 7]), (3, &[3, 4, 6, 8])]);
+        let inf = instance(&[
+            (1, &[1, 2, 3, 4, 5]),
+            (2, &[1, 2, 5, 7]),
+            (3, &[3, 4, 6, 8]),
+        ]);
         let opt = brute_force_best(&inf, 2, &UnitWeight);
         let grd = greedy_max_coverage(&inf, 2, &UnitWeight);
         assert_eq!(opt.value, 8.0);
@@ -281,6 +287,8 @@ mod tests {
     fn k_zero_selects_nothing() {
         let inf = instance(&[(1, &[1, 2])]);
         assert!(greedy_max_coverage(&inf, 0, &UnitWeight).seeds.is_empty());
-        assert!(lazy_greedy_max_coverage(&inf, 0, &UnitWeight).seeds.is_empty());
+        assert!(lazy_greedy_max_coverage(&inf, 0, &UnitWeight)
+            .seeds
+            .is_empty());
     }
 }

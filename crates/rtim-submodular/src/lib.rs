@@ -40,8 +40,8 @@ pub mod weights;
 pub use coverage::{reference::HashCoverageState, CoverageState};
 pub use greedy::{brute_force_best, greedy_max_coverage, lazy_greedy_max_coverage, GreedyResult};
 pub use oracle::{OracleConfig, OracleCounters, OracleKind, SsoOracle};
-pub use state::OracleState;
 pub use sieve::SieveStreaming;
+pub use state::OracleState;
 pub use swap::SwapStreaming;
 pub use threshold_stream::ThresholdStream;
 pub use weights::{DenseWeights, ElementWeight, MapWeight, UnitWeight};

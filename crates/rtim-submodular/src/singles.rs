@@ -82,7 +82,10 @@ mod tests {
     #[test]
     fn unit_reads_len_without_caching() {
         let mut s = SingletonValues::new();
-        assert_eq!(s.value(UserId(1), &set(&[4, 5]), &DenseWeights::Unit, None), 2.0);
+        assert_eq!(
+            s.value(UserId(1), &set(&[4, 5]), &DenseWeights::Unit, None),
+            2.0
+        );
         assert!(s.values.is_empty());
     }
 
@@ -97,6 +100,9 @@ mod tests {
         // A full (non-delta) feed overwrites with the exact rescan...
         assert_eq!(s.value(UserId(9), &set(&[0, 1, 3]), &w, None), 7.0);
         // ...and the delta path continues from it.
-        assert_eq!(s.value(UserId(9), &set(&[0, 1, 2, 3]), &w, Some(UserId(2))), 10.0);
+        assert_eq!(
+            s.value(UserId(9), &set(&[0, 1, 2, 3]), &w, Some(UserId(2))),
+            10.0
+        );
     }
 }

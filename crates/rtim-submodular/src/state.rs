@@ -337,9 +337,7 @@ fn read_opt_single(r: &mut ByteReader<'_>) -> Result<Option<(UserId, f64)>, Stat
             let v = r.f64()?;
             Ok(Some((u, v)))
         }
-        other => Err(StateError::Corrupt(format!(
-            "bad best-single flag {other}"
-        ))),
+        other => Err(StateError::Corrupt(format!("bad best-single flag {other}"))),
     }
 }
 
@@ -437,7 +435,9 @@ mod tests {
             for (u, cover) in &stream {
                 original.process(UserId(*u), &set(cover), &UNIT);
             }
-            let state = original.snapshot_state().expect("built-in oracles snapshot");
+            let state = original
+                .snapshot_state()
+                .expect("built-in oracles snapshot");
             let mut bytes = Vec::new();
             state.encode(&mut bytes);
             let mut r = ByteReader::new(&bytes);

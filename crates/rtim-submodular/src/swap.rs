@@ -218,11 +218,8 @@ impl SsoOracle for SwapStreaming {
 
     fn snapshot_state(&self) -> Option<crate::state::OracleState> {
         use crate::state::{OracleState, SwapState};
-        let mut held: Vec<(UserId, InfluenceSet)> = self
-            .held
-            .iter()
-            .map(|(&u, set)| (u, set.clone()))
-            .collect();
+        let mut held: Vec<(UserId, InfluenceSet)> =
+            self.held.iter().map(|(&u, set)| (u, set.clone())).collect();
         held.sort_unstable_by_key(|(u, _)| *u);
         Some(OracleState::Swap(SwapState {
             held,

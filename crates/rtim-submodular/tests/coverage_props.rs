@@ -11,10 +11,7 @@ use std::collections::HashMap;
 /// A random sequence of influence sets (the op stream), sized to exercise
 /// both representations of the arriving set.
 fn arb_sets(max_sets: usize, universe: u32) -> impl Strategy<Value = Vec<Vec<u32>>> {
-    prop::collection::vec(
-        prop::collection::vec(0u32..universe, 1..90),
-        1..max_sets,
-    )
+    prop::collection::vec(prop::collection::vec(0u32..universe, 1..90), 1..max_sets)
 }
 
 /// Integer-valued weights so float accumulation is exact regardless of the

@@ -104,7 +104,10 @@ fn spawn_server(
                 break addr;
             }
         }
-        assert!(Instant::now() < deadline, "server never advertised its address");
+        assert!(
+            Instant::now() < deadline,
+            "server never advertised its address"
+        );
         std::thread::sleep(Duration::from_millis(20));
     };
     (child, addr)
@@ -279,7 +282,10 @@ fn phase_fault_window(
             }
         }
         assert!(saw_degraded, "the fault window never tripped the journal");
-        assert!(rearmed, "the journal never re-armed after the window closed");
+        assert!(
+            rearmed,
+            "the journal never re-armed after the window closed"
+        );
     }
     child.kill().expect("SIGKILL the server");
     let _ = child.wait();

@@ -40,7 +40,11 @@ fn main() {
                 (i + 1) * 4 * config.slide,
                 answer.value,
                 &answer.seeds[..answer.seeds.len().min(5)],
-                if busy_retries > 0 { " (backpressure hit)" } else { "" },
+                if busy_retries > 0 {
+                    " (backpressure hit)"
+                } else {
+                    ""
+                },
             );
         }
     }

@@ -61,7 +61,10 @@ fn main() {
     let p = plain.query();
     let w = weighted.query();
     let s = swap_backed.query();
-    println!("{:<28} {:>10} {:>30}", "objective / oracle", "value", "top seeds");
+    println!(
+        "{:<28} {:>10} {:>30}",
+        "objective / oracle", "value", "top seeds"
+    );
     println!(
         "{:<28} {:>10.0} {:>30?}",
         "cardinality / Sieve",

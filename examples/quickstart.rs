@@ -46,7 +46,11 @@ fn main() {
     // 4. Final answer plus the throughput achieved on this machine, from the
     //    engine's own per-slide instrumentation.
     let answer = run.final_solution();
-    println!("\nfinal top-{} influential users: {:?}", answer.seeds.len(), answer.seeds);
+    println!(
+        "\nfinal top-{} influential users: {:?}",
+        answer.seeds.len(),
+        answer.seeds
+    );
     println!("final influence value: {:.0}", answer.value);
     println!(
         "processed {} actions in {:.2} ms feeding + {:.2} ms querying ({:.0} actions/s)",

@@ -76,12 +76,19 @@ fn main() {
         }
     }
 
-    println!("\n{:<8} {:>16} {:>18}", "method", "avg reach (users)", "processing time");
+    println!(
+        "\n{:<8} {:>16} {:>18}",
+        "method", "avg reach (users)", "processing time"
+    );
     for (name, i) in [("SIC", 0usize), ("IC", 1), ("Greedy", 2)] {
         println!(
             "{:<8} {:>16.1} {:>18.2?}",
             name,
-            if evaluated > 0 { spreads[i] / evaluated as f64 } else { 0.0 },
+            if evaluated > 0 {
+                spreads[i] / evaluated as f64
+            } else {
+                0.0
+            },
             timings[i]
         );
     }

@@ -163,7 +163,9 @@ fn serve(args: &[String]) -> Result<(), String> {
     let report = server.wait(); // until a client sends SHUTDOWN
     println!(
         "drained: {} actions, {} batches, {} slides, final influence {:.1}",
-        report.stats.actions, report.stats.batches, report.stats.slides,
+        report.stats.actions,
+        report.stats.batches,
+        report.stats.slides,
         report.final_solution.value
     );
     Ok(())
@@ -172,8 +174,7 @@ fn serve(args: &[String]) -> Result<(), String> {
 fn query(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &[])?;
     let addr = flags.get("addr").unwrap_or(DEFAULT_ADDR);
-    let mut client =
-        RtimClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut client = RtimClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let solution = client.query().map_err(|e| format!("query: {e}"))?;
     let seeds: Vec<String> = solution.seeds.iter().map(|s| s.0.to_string()).collect();
     println!("seeds: [{}]", seeds.join(", "));
@@ -184,8 +185,7 @@ fn query(args: &[String]) -> Result<(), String> {
 fn shutdown(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &[])?;
     let addr = flags.get("addr").unwrap_or(DEFAULT_ADDR);
-    let mut client =
-        RtimClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut client = RtimClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     println!("shutdown acknowledged by {addr}");
     Ok(())
@@ -196,8 +196,7 @@ fn top(args: &[String]) -> Result<(), String> {
     let addr = flags.get("addr").unwrap_or(DEFAULT_ADDR).to_string();
     let interval = Duration::from_millis(flags.num("interval-ms", 1000u64)?.max(50));
     let once = flags.has("once");
-    let mut client =
-        RtimClient::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut client = RtimClient::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut previous: Option<(EngineStats, Instant)> = None;
     loop {
         let stats = match client.stats() {
@@ -326,8 +325,7 @@ fn trace(args: &[String]) -> Result<(), String> {
     let slow_only = flags.has("slow");
     let follow = flags.has("follow") && !flags.has("once");
     let interval = Duration::from_millis(flags.num("interval-ms", 500u64)?.max(50));
-    let mut client =
-        RtimClient::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut client = RtimClient::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
     // `--follow` dedupes across polls: events by their end timestamp
     // (strictly increasing per dump), slow ops by start+total.
     let mut seen_event: Option<u64> = None;

@@ -125,7 +125,10 @@ fn baselines_and_frameworks_agree_on_obvious_influencers() {
 
     let graph = build_window_graph(sic.window(), sic.index());
     let mut rng = StdRng::seed_from_u64(3);
-    let imm_seeds = Imm::new(3).with_max_rr_sets(20_000).select(&graph, &mut rng).seeds;
+    let imm_seeds = Imm::new(3)
+        .with_max_rr_sets(20_000)
+        .select(&graph, &mut rng)
+        .seeds;
     assert!(imm_seeds.contains(&UserId(0)));
 
     let mut ubi = Ubi::new(UbiConfig::new(3).with_rr_sets(2_000));
@@ -166,7 +169,8 @@ fn quality_of_streaming_methods_tracks_greedy_under_wc_spread() {
         let influence = sic.window_influence_sets();
         let graph = build_window_graph(sic.window(), sic.index());
         sic_spread += monte_carlo_spread(&graph, &sic.query().seeds, 300, &mut rng);
-        greedy_spread += monte_carlo_spread(&graph, &greedy.select_seeds(&influence), 300, &mut rng);
+        greedy_spread +=
+            monte_carlo_spread(&graph, &greedy.select_seeds(&influence), 300, &mut rng);
         evaluated += 1;
     }
     assert!(evaluated >= 5);

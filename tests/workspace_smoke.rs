@@ -57,7 +57,10 @@ fn tiny_syn_n_stream_runs_through_sic() {
     assert_eq!(queried, 800 / 25);
 
     let final_answer = engine.query();
-    assert!(final_answer.value > 0.0, "a busy stream must have influence");
+    assert!(
+        final_answer.value > 0.0,
+        "a busy stream must have influence"
+    );
     assert!(!final_answer.seeds.is_empty());
 
     // Seeds must be users that actually acted.
