@@ -1245,6 +1245,8 @@ fn publish(stats: &mut EngineStats, engine: &SimEngine, durable: &Persistence, s
     let metrics = &shared.metrics;
     metrics.observe_stats(stats);
     metrics.observe_arena(pool.arena_takes, pool.arena_hits);
+    let index = engine.index();
+    metrics.observe_propagation(index.retained() as u64, index.heap_bytes() as u64);
     if let Some(rec) = &shared.recorder {
         metrics.observe_trace(rec.events_total(), rec.slow_total());
     }

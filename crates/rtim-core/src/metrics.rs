@@ -249,6 +249,8 @@ pub struct EngineMetrics {
     arena_hits: AtomicU64,
     trace_events: AtomicU64,
     trace_slow_ops: AtomicU64,
+    propagation_retained: AtomicU64,
+    propagation_bytes: AtomicU64,
 }
 
 impl Default for EngineMetrics {
@@ -281,6 +283,8 @@ impl EngineMetrics {
             arena_hits: AtomicU64::new(0),
             trace_events: AtomicU64::new(0),
             trace_slow_ops: AtomicU64::new(0),
+            propagation_retained: AtomicU64::new(0),
+            propagation_bytes: AtomicU64::new(0),
         }
     }
 
@@ -333,6 +337,13 @@ impl EngineMetrics {
     pub fn observe_trace(&self, events: u64, slow_ops: u64) {
         self.trace_events.store(events, Ordering::Relaxed);
         self.trace_slow_ops.store(slow_ops, Ordering::Relaxed);
+    }
+
+    /// Engine thread: refreshes the propagation-index memory gauges
+    /// (records retained and the heap bytes of their store).
+    pub fn observe_propagation(&self, retained: u64, bytes: u64) {
+        self.propagation_retained.store(retained, Ordering::Relaxed);
+        self.propagation_bytes.store(bytes, Ordering::Relaxed);
     }
 
     /// Front-end: one request found the engine queue full and was parked
@@ -479,7 +490,7 @@ impl EngineMetrics {
         for (name, help, value) in counters {
             render_scalar(&mut out, name, help, "counter", value);
         }
-        let gauges: [(&str, &str, u64); 9] = [
+        let gauges: [(&str, &str, u64); 11] = [
             (
                 "rtim_queue_depth_current",
                 "Commands waiting in the ingest queue now",
@@ -520,6 +531,16 @@ impl EngineMetrics {
                 "rtim_snapshot_age_slides",
                 "Window slides since the last successful snapshot",
                 stats.snapshot_age_slides,
+            ),
+            (
+                "rtim_propagation_retained_actions",
+                "Actions whose reply-ancestry record the propagation index retains",
+                self.propagation_retained.load(Ordering::Relaxed),
+            ),
+            (
+                "rtim_propagation_bytes",
+                "Heap bytes of the propagation index's record store",
+                self.propagation_bytes.load(Ordering::Relaxed),
             ),
         ];
         for (name, help, value) in gauges {
@@ -687,6 +708,7 @@ mod tests {
         metrics.incr_parked_request();
         metrics.observe_arena(100, 90);
         metrics.observe_trace(7, 2);
+        metrics.observe_propagation(41, 4096);
         let text = metrics.render_prometheus();
         for needle in [
             "rtim_feed_nanos{quantile=\"0.5\"}",
@@ -707,6 +729,8 @@ mod tests {
             "rtim_oracle_bound_rejections_total 4",
             "rtim_oracle_gain_passes_total 12",
             "rtim_oracle_admissions_total 2",
+            "rtim_propagation_retained_actions 41",
+            "rtim_propagation_bytes 4096",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
@@ -716,6 +740,9 @@ mod tests {
         // Migrations only ever accumulate (`ShardPool` adds one per move).
         assert!(text.contains("# TYPE rtim_shard_migrations_total counter"));
         assert!(text.contains("# TYPE rtim_durability_state gauge"));
+        // A prune shrinks the propagation store, so its figures are gauges.
+        assert!(text.contains("# TYPE rtim_propagation_retained_actions gauge"));
+        assert!(text.contains("# TYPE rtim_propagation_bytes gauge"));
         // The live-checkpoint oracle sums fall when a checkpoint expires,
         // so they are gauges whatever their suffix says.
         for name in [

@@ -13,22 +13,29 @@
 //! as long as `v`'s action is in `W_t`, even if `u`'s triggering action has
 //! already expired.  The index therefore resolves ancestry against *all*
 //! actions it has seen, with an optional retention horizon for unbounded
-//! runs.
+//! runs.  A server engine keeps one record per action it ever ingested, so
+//! the record store is laid out for a history that only grows.
+//!
+//! ## Layout
+//!
+//! Records live in parallel columns ordered by action id — id, acting
+//! user, reply depth and the start of the record's span in one shared
+//! ancestor pool (a record's span ends where the next record's begins).
+//! There is no allocation per record:
+//!
+//! * a lookup is the direct slot `id − first id` when ids are dense (the
+//!   server rebases every action onto a gap-free arrival order), with a
+//!   binary search over the id column as the fallback for gaps;
+//! * an arrival with the largest id so far — every arrival on the served
+//!   path — appends to each column; an out-of-order or repeated id is
+//!   moved into id order, and a repeated id replaces the earlier record
+//!   (the last insert wins);
+//! * the horizon prune drains a prefix of every column;
+//! * cloning the index (engine snapshots) copies five flat buffers, and the
+//!   `PIDX` snapshot section (`persist::state`) is one linear scan, already
+//!   in the id order its format requires.
 
 use crate::action::{Action, ActionId, UserId};
-use fxhash::FxHashMap;
-
-/// Per-action record kept by the index (fields crate-visible for the
-/// `persist::state` codec).
-#[derive(Debug, Clone)]
-pub(crate) struct ActionRecord {
-    /// The user who performed this action.
-    pub(crate) user: UserId,
-    /// Users of all ancestor actions (deduplicated, nearest-first).
-    pub(crate) ancestor_users: Box<[UserId]>,
-    /// Number of ancestor *actions* (reply depth; 0 for roots).
-    pub(crate) depth: u32,
-}
 
 /// Aggregate statistics over all actions inserted into a [`PropagationIndex`].
 ///
@@ -89,9 +96,23 @@ impl PropagationStats {
 /// documented approximation).
 #[derive(Debug, Clone)]
 pub struct PropagationIndex {
-    /// FxHash-keyed: one probe per arriving action plus one per ancestor
-    /// lookup — an outer feed-path map (see `docs/PERF.md`).
-    pub(crate) records: FxHashMap<ActionId, ActionRecord>,
+    /// Action id of each retained record, strictly ascending.
+    ids: Vec<u64>,
+    /// The user who performed each record's action.
+    users: Vec<UserId>,
+    /// Number of ancestor *actions* of each record (reply depth; 0 for
+    /// roots).
+    depths: Vec<u32>,
+    /// Start of each record's ancestor span, as a pool position counted
+    /// from the first record ever stored; the span ends where the next
+    /// record's starts (the last one's at the end of the pool).
+    starts: Vec<u64>,
+    /// Users of all ancestor actions of every record (per record:
+    /// deduplicated, nearest-first), back to back in id order.
+    pool: Vec<UserId>,
+    /// Pool position of `pool[0]`: a prune drains the pool's prefix and
+    /// advances this instead of rewriting `starts`.
+    pool_base: u64,
     pub(crate) horizon: Option<u64>,
     /// Smallest action id still retained (used for pruning).
     pub(crate) oldest_retained: u64,
@@ -110,14 +131,7 @@ impl Default for PropagationIndex {
 impl PropagationIndex {
     /// Creates an index that retains every action.
     pub fn new() -> Self {
-        PropagationIndex {
-            records: FxHashMap::default(),
-            horizon: None,
-            oldest_retained: 0,
-            latest: 0,
-            stats: PropagationStats::default(),
-            max_ancestors: 0,
-        }
+        Self::from_parts(None, 0, 0, 0, PropagationStats::default(), 0)
     }
 
     /// Creates an index that prunes actions more than `horizon` positions old.
@@ -137,18 +151,24 @@ impl PropagationIndex {
         self
     }
 
-    /// Rebuilds an index skeleton from persisted counters (the
-    /// `persist::state` restore path; records are re-inserted through
-    /// [`PropagationIndex::insert_record`]).
+    /// Rebuilds an index skeleton from persisted counters, with room for
+    /// `records` records (the `persist::state` restore path; records are
+    /// re-installed through [`PropagationIndex::push_record`]).
     pub(crate) fn from_parts(
         horizon: Option<u64>,
         oldest_retained: u64,
         latest: u64,
         max_ancestors: usize,
         stats: PropagationStats,
+        records: usize,
     ) -> Self {
         PropagationIndex {
-            records: FxHashMap::default(),
+            ids: Vec::with_capacity(records),
+            users: Vec::with_capacity(records),
+            depths: Vec::with_capacity(records),
+            starts: Vec::with_capacity(records),
+            pool: Vec::new(),
+            pool_base: 0,
             horizon,
             oldest_retained,
             latest,
@@ -159,21 +179,29 @@ impl PropagationIndex {
 
     /// Re-installs one persisted record verbatim (restore path; no stats
     /// are updated — they were persisted alongside).
-    pub(crate) fn insert_record(
+    pub(crate) fn push_record(
         &mut self,
         id: ActionId,
         user: UserId,
         depth: u32,
-        ancestor_users: Vec<UserId>,
+        ancestor_users: &[UserId],
     ) {
-        self.records.insert(
-            id,
-            ActionRecord {
-                user,
-                ancestor_users: ancestor_users.into_boxed_slice(),
-                depth,
-            },
-        );
+        let tail = self.pool.len();
+        self.pool.extend_from_slice(ancestor_users);
+        self.place(id.0, user, depth, tail);
+    }
+
+    /// Every retained record in ascending id order: id, acting user, reply
+    /// depth and ancestor users (the `persist::state` encode path).
+    pub(crate) fn records(&self) -> impl Iterator<Item = (ActionId, UserId, u32, &[UserId])> {
+        (0..self.ids.len()).map(move |slot| {
+            (
+                ActionId(self.ids[slot]),
+                self.users[slot],
+                self.depths[slot],
+                &self.pool[self.span(slot)],
+            )
+        })
     }
 
     /// Id of the most recent action ever inserted (0 before the first) —
@@ -184,7 +212,18 @@ impl PropagationIndex {
 
     /// Number of actions currently retained.
     pub fn retained(&self) -> usize {
-        self.records.len()
+        self.ids.len()
+    }
+
+    /// Heap bytes the record store holds (allocated capacity of its
+    /// columns and ancestor pool).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ids.capacity() * size_of::<u64>()
+            + self.users.capacity() * size_of::<UserId>()
+            + self.depths.capacity() * size_of::<u32>()
+            + self.starts.capacity() * size_of::<u64>()
+            + self.pool.capacity() * size_of::<UserId>()
     }
 
     /// Aggregate statistics since creation.
@@ -197,32 +236,39 @@ impl PropagationIndex {
     /// (nearest ancestor first, acting user excluded from the ancestor part).
     pub fn insert(&mut self, action: &Action) -> Vec<UserId> {
         self.latest = self.latest.max(action.id.0);
-        let (ancestor_users, depth) = match action.parent {
+        // The new record's ancestors are built at the pool's tail.
+        let tail = self.pool.len();
+        let depth = match action.parent {
             None => {
                 self.stats.roots += 1;
-                (Vec::new(), 0)
+                0
             }
             Some(parent_id) => {
                 self.stats.total_response_distance += action.id.0.saturating_sub(parent_id.0);
-                match self.records.get(&parent_id) {
+                match self.slot(parent_id) {
                     Some(parent) => {
                         self.stats.resolved_replies += 1;
-                        let mut anc = Vec::with_capacity(parent.ancestor_users.len() + 1);
-                        anc.push(parent.user);
-                        for &u in parent.ancestor_users.iter() {
-                            if !anc.contains(&u) {
-                                anc.push(u);
+                        let cap = match self.max_ancestors {
+                            0 => usize::MAX,
+                            cap => cap,
+                        };
+                        let inherited = self.span(parent);
+                        self.pool.push(self.users[parent]);
+                        for at in inherited {
+                            if self.pool.len() - tail >= cap {
+                                break;
+                            }
+                            let u = self.pool[at];
+                            if !self.pool[tail..].contains(&u) {
+                                self.pool.push(u);
                             }
                         }
-                        if self.max_ancestors > 0 && anc.len() > self.max_ancestors {
-                            anc.truncate(self.max_ancestors);
-                        }
-                        (anc, parent.depth + 1)
+                        self.depths[parent] + 1
                     }
                     None => {
                         // Parent pruned or never seen: degrade to a root.
                         self.stats.unresolved_replies += 1;
-                        (Vec::new(), 0)
+                        0
                     }
                 }
             }
@@ -232,22 +278,12 @@ impl PropagationIndex {
         self.stats.total_depth += depth as u64;
         self.stats.max_depth = self.stats.max_depth.max(depth);
 
-        let mut updated = Vec::with_capacity(ancestor_users.len() + 1);
+        let ancestors = &self.pool[tail..];
+        let mut updated = Vec::with_capacity(ancestors.len() + 1);
         updated.push(action.user);
-        for &u in &ancestor_users {
-            if u != action.user {
-                updated.push(u);
-            }
-        }
+        updated.extend(ancestors.iter().copied().filter(|&u| u != action.user));
 
-        self.records.insert(
-            action.id,
-            ActionRecord {
-                user: action.user,
-                ancestor_users: ancestor_users.into_boxed_slice(),
-                depth,
-            },
-        );
+        self.place(action.id.0, action.user, depth, tail);
         self.maybe_prune();
         updated
     }
@@ -255,17 +291,76 @@ impl PropagationIndex {
     /// Returns the ancestor users of an already-inserted action
     /// (acting user excluded), or `None` if the action is unknown/pruned.
     pub fn ancestor_users(&self, id: ActionId) -> Option<&[UserId]> {
-        self.records.get(&id).map(|r| &*r.ancestor_users)
+        self.slot(id).map(|slot| &self.pool[self.span(slot)])
     }
 
     /// Returns the user who performed an already-inserted action.
     pub fn user_of(&self, id: ActionId) -> Option<UserId> {
-        self.records.get(&id).map(|r| r.user)
+        self.slot(id).map(|slot| self.users[slot])
     }
 
     /// Reply depth (number of ancestor actions) of an inserted action.
     pub fn depth_of(&self, id: ActionId) -> Option<u32> {
-        self.records.get(&id).map(|r| r.depth)
+        self.slot(id).map(|slot| self.depths[slot])
+    }
+
+    /// Column position of the record of `id`: the direct slot when the
+    /// ids up to it are dense, else a binary search.
+    #[inline]
+    fn slot(&self, id: ActionId) -> Option<usize> {
+        let first = *self.ids.first()?;
+        let direct = id.0.wrapping_sub(first);
+        if direct < self.ids.len() as u64 && self.ids[direct as usize] == id.0 {
+            return Some(direct as usize);
+        }
+        self.ids.binary_search(&id.0).ok()
+    }
+
+    /// Pool range of the ancestor users of the record at `slot`.
+    #[inline]
+    fn span(&self, slot: usize) -> std::ops::Range<usize> {
+        let start = (self.starts[slot] - self.pool_base) as usize;
+        let end = match self.starts.get(slot + 1) {
+            Some(&next) => (next - self.pool_base) as usize,
+            None => self.pool.len(),
+        };
+        start..end
+    }
+
+    /// Files the record whose ancestor users sit at `pool[tail..]` under
+    /// `id`.  A new largest id appends; any other id is moved into id
+    /// order, replacing the record already stored under it.
+    fn place(&mut self, id: u64, user: UserId, depth: u32, tail: usize) {
+        if self.ids.last().is_none_or(|&last| last < id) {
+            self.ids.push(id);
+            self.users.push(user);
+            self.depths.push(depth);
+            self.starts.push(self.pool_base + tail as u64);
+            return;
+        }
+        let ancestors = self.pool.split_off(tail);
+        let (slot, removed) = match self.ids.binary_search(&id) {
+            Ok(slot) => {
+                self.users[slot] = user;
+                self.depths[slot] = depth;
+                (slot, self.span(slot))
+            }
+            Err(slot) => {
+                // `slot` < len: a smaller id than the last one.
+                let start = self.starts[slot];
+                self.ids.insert(slot, id);
+                self.users.insert(slot, user);
+                self.depths.insert(slot, depth);
+                self.starts.insert(slot, start);
+                let at = (start - self.pool_base) as usize;
+                (slot, at..at)
+            }
+        };
+        let (added, removed_len) = (ancestors.len() as u64, removed.len() as u64);
+        self.pool.splice(removed, ancestors);
+        for start in &mut self.starts[slot + 1..] {
+            *start = *start + added - removed_len;
+        }
     }
 
     fn maybe_prune(&mut self) {
@@ -275,11 +370,21 @@ impl PropagationIndex {
             return;
         }
         // Amortize: only prune when the retained range is at least twice the
-        // horizon, then sweep once.
+        // horizon, then drop the prefix below the cutoff once.
         if self.latest.saturating_sub(self.oldest_retained) < 2 * h {
             return;
         }
-        self.records.retain(|id, _| id.0 >= cutoff);
+        let kept = self.ids.partition_point(|&id| id < cutoff);
+        let pool_cut = match self.starts.get(kept) {
+            Some(&start) => (start - self.pool_base) as usize,
+            None => self.pool.len(),
+        };
+        self.ids.drain(..kept);
+        self.users.drain(..kept);
+        self.depths.drain(..kept);
+        self.starts.drain(..kept);
+        self.pool.drain(..pool_cut);
+        self.pool_base += pool_cut as u64;
         self.oldest_retained = cutoff;
     }
 }
