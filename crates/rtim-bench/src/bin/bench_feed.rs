@@ -8,9 +8,10 @@
 //! tracked across PRs on the same machine.
 //!
 //! `--hot-frac P` additionally replays the stream with `P` percent of the
-//! actions remapped onto a handful of hot users — the skewed workload the
-//! pool's timing-driven placement exists for — and records the resulting
-//! `shard_migrations` / EWMA spread per run.
+//! actions remapped onto a handful of hot users — a skewed workload that
+//! makes some checkpoints far costlier than others — and records the
+//! resulting `shard_migrations` (rebalance moves) and per-shard EWMA
+//! spread per run.
 //!
 //! ```text
 //! cargo run --release -p rtim-bench --bin bench_feed -- \
@@ -171,7 +172,7 @@ fn main() {
 
     // Hot-key skew runs: the same stream with a fraction of the actions
     // concentrated on a few users, replayed at the full thread count so
-    // the adaptive placement has shards to migrate between.
+    // the per-shard EWMA spread shows the cost skew between shards.
     if hot_frac > 0 && threads > 1 {
         let hot = hotify(&stream, hot_frac);
         for kind in [FrameworkKind::Sic, FrameworkKind::Ic] {

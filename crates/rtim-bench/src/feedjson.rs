@@ -5,7 +5,7 @@
 //! artifact instead.  [`FeedBenchReport`] captures, for one machine and one
 //! run of the `bench_feed` binary:
 //!
-//! * per-framework feed runs driven through [`SimEngine::run_stream`]
+//! * per-framework feed runs driven through [`SimEngine::run_stream`](rtim_core::SimEngine::run_stream)
 //!   (`rtim_core`), with total and per-slide `feed_nanos` / `query_nanos`
 //!   and the derived actions-per-second rate, and
 //! * the `coverage_ops` micro-comparison of the bitmap
@@ -28,7 +28,8 @@
 //! * a top-level `simd` flag recording whether the kernels ran with the
 //!   `simd` feature,
 //! * per-run `shard_migrations` / `shard_ewma_min_nanos` /
-//!   `shard_ewma_max_nanos` from the pool's adaptive placement,
+//!   `shard_ewma_max_nanos` from the pool (rebalance moves and the
+//!   per-shard feed-time EWMA spread),
 //! * a `baselines` array of reference per-slide feed times recorded on the
 //!   same machine by an earlier run, and
 //! * `speedups_vs_baseline`, pairing each run with its baseline by name
@@ -81,8 +82,8 @@ pub struct FeedRun {
     pub per_slide_query_nanos: Vec<u64>,
     /// `true` if the per-slide arrays were truncated to the cap.
     pub per_slide_truncated: bool,
-    /// Checkpoints migrated by the pool's timing-driven placement
-    /// (0 for sequential runs).
+    /// Checkpoints moved between shards by the pool's count rebalancer
+    /// (0 at pool width 1).
     pub shard_migrations: u64,
     /// Smallest per-shard feed-time EWMA after the run, nanoseconds.
     pub shard_ewma_min_nanos: u64,

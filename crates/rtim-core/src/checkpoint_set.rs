@@ -4,65 +4,51 @@
 //! same three things with it every slide: create a checkpoint for the
 //! arriving actions, feed the slide to every live checkpoint, and delete
 //! checkpoints (expiry in IC, pruning + expiry in SIC).  A
-//! [`CheckpointSet`] owns that list *and its execution strategy*, so the
-//! frameworks are reduced to pure policy code over cached per-checkpoint
-//! statistics — they never touch a raw checkpoint vector again.
+//! [`CheckpointSet`] owns that list, so the frameworks are reduced to pure
+//! policy code over cached per-checkpoint statistics — they never touch a
+//! raw checkpoint vector again.
 //!
-//! ## Execution strategies
+//! ## Execution
 //!
-//! * `threads == 1` — checkpoints live inline in the set and slides are
-//!   replayed on the calling thread (the fast path for SIC's usual handful
-//!   of checkpoints, where any fan-out overhead would dominate).
-//! * `threads > 1` — checkpoints live inside a persistent [`ShardPool`]:
-//!   worker threads are spawned once when the set is created, each owns a
-//!   stable shard, and every slide is broadcast as a single shared
-//!   allocation.  Deleting a checkpoint rebalances the shards (see the
-//!   [`pool`](crate::pool) module docs).
+//! The checkpoints live in one [`ShardPool`] at every width: at width 1
+//! its one shard runs inline on the calling thread (SIC's usual handful
+//! of checkpoints pays no fan-out); wider pools spawn their workers once,
+//! when the set is created, and broadcast every slide as one shared
+//! allocation.  Deleting a checkpoint rebalances the shards (see the
+//! [`pool`](crate::pool) module docs).
 //!
 //! ## The dense weight table
 //!
 //! Checkpoints and their oracles are weight-agnostic: they receive a
-//! [`DenseWeights`] view per feed.  The set owns the single source of truth
-//! for that view — for the cardinality objective it is simply
-//! `DenseWeights::Unit`; for weighted objectives the set materializes
-//! `weight.weight(raw)` into a flat `Vec<f64>` indexed by **dense** (interned)
-//! user id as users are registered ([`CheckpointSet::register_users`],
-//! driven by the engine's `UserInterner`).  Sharded execution broadcasts the
-//! table's append-only deltas with each feed so every worker holds an
-//! identical copy.  If the set is driven without registration (direct
-//! framework tests feeding already-dense ids), missing entries are filled by
-//! treating the dense id as the raw id — the identity mapping.
+//! [`DenseWeights`](rtim_submodular::DenseWeights) view per feed.  The set
+//! owns the single source of truth for that view — for the cardinality
+//! objective it is simply `DenseWeights::Unit`; for weighted objectives the
+//! set materializes `weight.weight(raw)` into a flat `Vec<f64>` indexed by
+//! **dense** (interned) user id as users are registered
+//! ([`CheckpointSet::register_users`], driven by the engine's
+//! `UserInterner`).  Each feed ships the table's append-only delta to the
+//! pool, so every shard holds an identical copy.  If the set is driven
+//! without registration (direct framework tests feeding already-dense ids),
+//! missing entries are filled by treating the dense id as the raw id — the
+//! identity mapping.
 //!
-//! Either way the set mirrors each checkpoint's `(start, value, updates)`
-//! in an ordered list of [`CheckpointStat`]s, which is what the frameworks'
-//! pruning/eviction/query policies consume.  A full [`Solution`] is read
-//! on the calling thread at every pool width: inline checkpoints answer
-//! directly, and sharded ones from the seed lists their workers return
-//! with every feed, so a query never waits on a worker.  Results are
-//! bit-identical across strategies — `tests/determinism.rs` asserts this
-//! property for 2–8 workers.
+//! The set mirrors each checkpoint's `(start, value, updates)` in an
+//! ordered list of [`CheckpointStat`]s, which is what the frameworks'
+//! pruning/eviction/query policies consume, next to the seed list every
+//! feed returns.  A full [`Solution`] is therefore read on the calling
+//! thread, so a query never waits on a worker.  Results are bit-identical
+//! at every width — `tests/determinism.rs` asserts this property for 1–8
+//! shards.
 
 use crate::config::SimConfig;
 use crate::framework::{ResolvedAction, Solution};
-use crate::pool::{AdaptiveConfig, CheckpointStat, PoolStats, ShardPool, WorkerFeedReport};
+use crate::pool::{CheckpointStat, PoolStats, ShardPool, WorkerFeedReport};
 use crate::ssm::Checkpoint;
-use rtim_stream::{UserId, WordArena};
-use rtim_submodular::{DenseWeights, ElementWeight, OracleConfig, OracleCounters, OracleKind};
+use rtim_stream::UserId;
+use rtim_submodular::{ElementWeight, OracleConfig, OracleCounters, OracleKind};
 
-/// Where the checkpoints physically live.
-enum Exec {
-    /// Inline on the calling thread, parallel to the stats list.  The
-    /// [`WordArena`] recycles expired checkpoints' bitmap backing stores
-    /// into the next slide's set promotions (sharded execution keeps one
-    /// arena per worker instead).
-    Sequential(Vec<Checkpoint>, WordArena),
-    /// Sharded across persistent worker threads, with each checkpoint's
-    /// seed list as of its last feed, parallel to the stats list.
-    Sharded(ShardPool, Vec<Vec<UserId>>),
-}
-
-/// An ordered collection of checkpoints (oldest first) plus the strategy
-/// that executes slides against them.
+/// An ordered collection of checkpoints (oldest first) plus the pool that
+/// executes slides against them.
 ///
 /// See the [module docs](self) for the design.
 pub struct CheckpointSet<W: ElementWeight + Send + 'static> {
@@ -75,8 +61,8 @@ pub struct CheckpointSet<W: ElementWeight + Send + 'static> {
     /// Dense weight table: `dense_weights[d]` is the element weight of the
     /// user with dense id `d`.  Empty for the cardinality objective.
     dense_weights: Vec<f64>,
-    /// How many table entries the shard workers have already received
-    /// (sharded execution ships `dense_weights[synced..]` with each feed).
+    /// How many table entries the pool's shards have already received
+    /// (each feed ships `dense_weights[synced..]`).
     synced: usize,
     /// `true` once `cover_slide` identity-filled any table entry.  The two
     /// table-population modes — interned registration and the identity
@@ -86,18 +72,15 @@ pub struct CheckpointSet<W: ElementWeight + Send + 'static> {
     /// Cached per-checkpoint stats, oldest first (same order as creation;
     /// starts are strictly increasing).
     stats: Vec<CheckpointStat>,
-    exec: Exec,
+    /// Each checkpoint's seed list as of its last feed, parallel to `stats`.
+    seeds: Vec<Vec<UserId>>,
+    pool: ShardPool,
 }
 
 impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
-    /// Creates an empty set executing with `threads` workers
-    /// (1 = sequential, no worker threads at all).
+    /// Creates an empty set executing on a pool of `threads` shards
+    /// (1 = inline on the calling thread, no worker threads at all).
     pub fn new(oracle: OracleKind, oracle_config: OracleConfig, threads: usize, weight: W) -> Self {
-        let exec = if threads.max(1) == 1 {
-            Exec::Sequential(Vec::new(), WordArena::new())
-        } else {
-            Exec::Sharded(ShardPool::new(threads), Vec::new())
-        };
         let unit = weight.is_unit();
         CheckpointSet {
             oracle,
@@ -108,7 +91,8 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
             synced: 0,
             identity_filled: false,
             stats: Vec::new(),
-            exec,
+            seeds: Vec::new(),
+            pool: ShardPool::new(threads),
         }
     }
 
@@ -133,48 +117,20 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
         self.stats.is_empty()
     }
 
-    /// Number of worker threads backing the set (1 = sequential).
+    /// Number of shards backing the set (1 = inline).
     pub fn threads(&self) -> usize {
-        match &self.exec {
-            Exec::Sequential(..) => 1,
-            Exec::Sharded(pool, _) => pool.threads(),
-        }
+        self.pool.threads()
     }
 
-    /// Adaptive-placement counters of the backing [`ShardPool`]
-    /// (placement fields are all-zero under sequential execution, which
-    /// has no placement; the arena allocation counters are reported
-    /// either way — sequential execution owns its arena inline).
+    /// Counters of the backing [`ShardPool`] (see [`PoolStats`]).
     pub fn pool_stats(&self) -> PoolStats {
-        match &self.exec {
-            Exec::Sequential(_, arena) => {
-                let (arena_takes, arena_hits) = arena.stats();
-                PoolStats {
-                    arena_takes,
-                    arena_hits,
-                    ..PoolStats::default()
-                }
-            }
-            Exec::Sharded(pool, _) => pool.stats(),
-        }
+        self.pool.stats()
     }
 
-    /// Latest per-shard feed reports (empty under sequential execution,
-    /// where the whole feed is one span).  See
+    /// Latest feed report of every shard.  See
     /// [`ShardPool::last_feed_reports`].
     pub fn shard_feed_reports(&self) -> &[WorkerFeedReport] {
-        match &self.exec {
-            Exec::Sequential(..) => &[],
-            Exec::Sharded(pool, _) => pool.last_feed_reports(),
-        }
-    }
-
-    /// Reconfigures the backing pool's timing-driven placement (no-op
-    /// under sequential execution).  See [`AdaptiveConfig`].
-    pub fn set_adaptive(&mut self, config: AdaptiveConfig) {
-        if let Exec::Sharded(pool, _) = &mut self.exec {
-            pool.set_adaptive(config);
-        }
+        self.pool.last_feed_reports()
     }
 
     /// Registers newly interned users in dense-id order, materializing their
@@ -236,22 +192,12 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
         self.adopt(Checkpoint::new(start, self.oracle, self.oracle_config));
     }
 
-    /// Appends `checkpoint` (newest so far) to the stats list and to its
-    /// executor.
+    /// Appends `checkpoint` (newest so far) to the stats and seed lists
+    /// and hands it to the pool.
     fn adopt(&mut self, checkpoint: Checkpoint) {
-        self.stats.push(CheckpointStat {
-            start: checkpoint.start(),
-            value: checkpoint.value(),
-            updates: checkpoint.updates(),
-            counters: checkpoint.counters(),
-        });
-        match &mut self.exec {
-            Exec::Sequential(list, _) => list.push(checkpoint),
-            Exec::Sharded(pool, seeds) => {
-                seeds.push(checkpoint.solution().seeds);
-                pool.add(checkpoint);
-            }
-        }
+        self.stats.push(CheckpointStat::of(&checkpoint));
+        self.seeds.push(checkpoint.seeds());
+        self.pool.add(checkpoint);
     }
 
     /// Feeds one slide of resolved actions to every live checkpoint and
@@ -261,59 +207,26 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
             return;
         }
         self.cover_slide(slide);
-        match &mut self.exec {
-            Exec::Sequential(list, arena) => {
-                let weights = if self.unit {
-                    DenseWeights::Unit
-                } else {
-                    DenseWeights::Table(&self.dense_weights)
-                };
-                for (cp, stat) in list.iter_mut().zip(self.stats.iter_mut()) {
-                    for action in slide {
-                        cp.process_in(action, &weights, arena);
-                    }
-                    stat.value = cp.value();
-                    stat.updates = cp.updates();
-                    stat.counters = cp.counters();
-                }
-                arena.end_slide();
-            }
-            Exec::Sharded(pool, seeds) => {
-                let delta: Option<&[f64]> = if self.unit {
-                    None
-                } else {
-                    Some(&self.dense_weights[self.synced..])
-                };
-                let fresh = pool.feed(slide, delta);
-                self.synced = self.dense_weights.len();
-                for (stat, fed_seeds) in fresh {
-                    // Starts are strictly increasing, so the ordered stats
-                    // list is binary-searchable.
-                    let i = self
-                        .stats
-                        .binary_search_by_key(&stat.start, |s| s.start)
-                        .expect("pool returned stats for an unknown checkpoint");
-                    self.stats[i] = stat;
-                    seeds[i] = fed_seeds;
-                }
-            }
+        let delta = (!self.unit).then(|| &self.dense_weights[self.synced..]);
+        let fresh = self.pool.feed(slide, delta);
+        self.synced = self.dense_weights.len();
+        for (stat, seeds) in fresh {
+            // Starts are strictly increasing, so the ordered stats list is
+            // binary-searchable.
+            let i = self
+                .stats
+                .binary_search_by_key(&stat.start, |s| s.start)
+                .expect("pool returned stats for an unknown checkpoint");
+            self.stats[i] = stat;
+            self.seeds[i] = seeds;
         }
     }
 
     /// Deletes the checkpoint at position `i` (oldest = 0).
     pub fn remove(&mut self, i: usize) {
         let stat = self.stats.remove(i);
-        match &mut self.exec {
-            Exec::Sequential(list, arena) => {
-                // Expired checkpoints donate their bitmap backing stores
-                // to the next slide's promotions.
-                list.remove(i).recycle_into(arena);
-            }
-            Exec::Sharded(pool, seeds) => {
-                seeds.remove(i);
-                pool.remove(stat.start);
-            }
-        }
+        self.seeds.remove(i);
+        self.pool.remove(stat.start);
     }
 
     /// Start position of the checkpoint at `i`.
@@ -356,27 +269,20 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
     ///
     /// Seeds are in the id space the set was fed with (dense ids when driven
     /// through the engine; the engine translates back to raw ids at its
-    /// query boundary).  Answered on the calling thread at every pool
-    /// width (see the [module docs](self)).
+    /// query boundary).  Answered on the calling thread from the seed list
+    /// of the last feed (see the [module docs](self)).
     pub fn solution(&self, i: usize) -> Solution {
-        match &self.exec {
-            Exec::Sequential(list, _) => list[i].solution(),
-            Exec::Sharded(_, seeds) => Solution {
-                seeds: seeds[i].clone(),
-                value: self.stats[i].value,
-            },
+        Solution {
+            seeds: self.seeds[i].clone(),
+            value: self.stats[i].value,
         }
     }
 
-    /// Captures the serializable state of every live checkpoint (shard
-    /// contents are fetched from their workers, one round trip each,
-    /// without moving them), plus the dense weight table.  `None` if any
-    /// checkpoint's oracle lacks snapshot support.
+    /// Captures the serializable state of every live checkpoint (fetched
+    /// from the pool's shards without moving them), plus the dense weight
+    /// table.  `None` if any checkpoint's oracle lacks snapshot support.
     pub fn snapshot(&self) -> Option<crate::snapshot::CheckpointSetState> {
-        let checkpoints = match &self.exec {
-            Exec::Sequential(list, _) => list.iter().map(Checkpoint::snapshot).collect(),
-            Exec::Sharded(pool, _) => pool.snapshot(),
-        }?;
+        let checkpoints = self.pool.snapshot()?;
         Some(crate::snapshot::CheckpointSetState {
             identity_filled: self.identity_filled,
             dense_weights: self.dense_weights.clone(),
@@ -386,9 +292,8 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
 
     /// Rehydrates a checkpoint set from persisted state.
     ///
-    /// Checkpoints are rebuilt oldest-first and — under a sharded
-    /// configuration — re-placed into the pool in that order, so placement
-    /// is deterministic (placement never affects answers, only balance).
+    /// Checkpoints are rebuilt oldest-first and re-placed into the pool in
+    /// that order, so placement is deterministic (placement never affects answers, only balance).
     /// Restoring a weighted table requires a non-unit `weight`; the
     /// caller re-supplies the same weight function the snapshotted set ran
     /// with (it is not serializable).
@@ -407,7 +312,7 @@ impl<W: ElementWeight + Send + 'static> CheckpointSet<W> {
         }
         set.identity_filled = state.identity_filled;
         set.dense_weights = state.dense_weights;
-        // Workers start with empty tables; the first feed ships the whole
+        // Shards start with empty tables; the first feed ships the whole
         // table as one delta.
         set.synced = 0;
         let mut last_start: Option<u64> = None;

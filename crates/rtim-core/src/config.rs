@@ -18,8 +18,8 @@ pub struct SimConfig {
     pub slide: usize,
     /// Which streaming-submodular oracle backs each checkpoint (Table 2).
     pub oracle: OracleKind,
-    /// Number of worker threads used to update checkpoints per slide
-    /// (1 = sequential; see [`crate::pool`]).
+    /// Number of shards used to update checkpoints per slide (1 = inline
+    /// on the calling thread, no worker threads; see [`crate::pool`]).
     pub threads: usize,
 }
 

@@ -228,21 +228,14 @@ impl SimEngine {
         self.slides
     }
 
-    /// Adaptive-placement counters of the framework's shard pool (all
-    /// zeros under sequential execution); see [`crate::pool::PoolStats`].
+    /// Counters of the framework's shard pool; see
+    /// [`crate::pool::PoolStats`].
     pub fn pool_stats(&self) -> crate::pool::PoolStats {
         self.framework.pool_stats()
     }
 
-    /// Reconfigures the timing-driven checkpoint placement of the
-    /// framework's shard pool (no-op under sequential execution);
-    /// placement never affects answers, only load balance.
-    pub fn set_adaptive(&mut self, config: crate::pool::AdaptiveConfig) {
-        self.framework.set_adaptive(config);
-    }
-
-    /// Latest per-shard feed reports from the framework's pool (empty
-    /// under sequential execution); input to per-shard trace spans.
+    /// Latest per-shard feed reports from the framework's pool (one per
+    /// shard); input to per-shard trace spans.
     pub fn shard_feed_reports(&self) -> &[crate::pool::WorkerFeedReport] {
         self.framework.shard_feed_reports()
     }

@@ -100,29 +100,20 @@ pub trait Framework: Send {
     /// Which framework this is.
     fn kind(&self) -> FrameworkKind;
 
-    /// Adaptive-placement counters of the framework's backing shard pool
-    /// (migrations performed, min/max per-shard feed-time EWMA).  The
-    /// default — correct for sequential execution and for custom
-    /// frameworks without a pool — is all zeros.
+    /// Counters of the framework's backing shard pool (rebalance moves,
+    /// min/max per-shard feed-time EWMA, arena counters).  The default —
+    /// for custom frameworks without a pool — is all zeros.
     fn pool_stats(&self) -> crate::pool::PoolStats {
         crate::pool::PoolStats::default()
     }
 
     /// Latest per-shard feed reports from the framework's backing pool
-    /// (span nanoseconds + arena counters per worker, from the most
-    /// recent slide).  Input to the engine's per-shard trace spans; the
-    /// default — sequential execution, or a custom framework without a
+    /// (span nanoseconds + arena counters per shard, from the most recent
+    /// slide; one entry per shard at every width).  Input to the engine's
+    /// per-shard trace spans; the default — a custom framework without a
     /// pool — is empty.
     fn shard_feed_reports(&self) -> &[crate::pool::WorkerFeedReport] {
         &[]
-    }
-
-    /// Reconfigures the backing pool's timing-driven checkpoint placement
-    /// (see [`crate::pool::AdaptiveConfig`]).  Placement never affects
-    /// answers, only load balance, so this is a pure tuning knob; the
-    /// default is a no-op.
-    fn set_adaptive(&mut self, config: crate::pool::AdaptiveConfig) {
-        let _ = config;
     }
 
     /// The framework's serializable state, if it supports durable

@@ -180,11 +180,11 @@ pub struct EngineStats {
     /// Replies whose parent was unknown to the sender's remap table (never
     /// sent, or pruned by the horizon) and were degraded to roots.
     pub orphaned_replies: u64,
-    /// Checkpoints migrated between shards by the pool's timing-driven
-    /// placement (0 under sequential execution).
+    /// Checkpoints moved between shards by the pool's count rebalancer
+    /// after a remove (always 0 at pool width 1).
     pub shard_migrations: u64,
-    /// Smallest per-shard feed-time EWMA, in nanoseconds (0 under
-    /// sequential execution or before the first sharded feed).
+    /// Smallest per-shard feed-time EWMA, in nanoseconds (0 before the
+    /// first feed; at width 1 the one shard's, equal to the maximum).
     pub shard_ewma_min_nanos: u64,
     /// Largest per-shard feed-time EWMA, in nanoseconds.
     pub shard_ewma_max_nanos: u64,
@@ -1095,8 +1095,8 @@ fn engine_loop(
     // The engine thread's single ring lane; `None` folds every
     // instrumentation site below to nothing (tracing disabled).
     let mut tracer: Option<TraceWriter> = recorder.as_ref().map(|r| r.writer());
-    // Shard-migration lifecycle events are derived by diffing the pool's
-    // cumulative counter across batches.
+    // Rebalance lifecycle events are derived by diffing the pool's
+    // cumulative move counter across batches.
     let mut seen_migrations: u64 = engine.pool_stats().migrations;
 
     // A drain ends at the first empty poll.

@@ -12,9 +12,8 @@
 //! exactly the current window, so the answer inherits the checkpoint
 //! oracle's `ε` approximation ratio (Theorem 2).
 //!
-//! The checkpoints themselves live in a [`CheckpointSet`], which owns the
-//! execution strategy (sequential, or a persistent shard pool when
-//! [`SimConfig::with_threads`] asks for workers); IC is pure policy over
+//! The checkpoints themselves live in a [`CheckpointSet`], which runs them
+//! on a shard pool ([`SimConfig::with_threads`] sets its width); IC is pure policy over
 //! the set's cached per-checkpoint statistics.
 
 use crate::checkpoint_set::CheckpointSet;
@@ -151,10 +150,6 @@ impl<W: ElementWeight + Send + 'static> Framework for IcFramework<W> {
 
     fn shard_feed_reports(&self) -> &[crate::pool::WorkerFeedReport] {
         self.checkpoints.shard_feed_reports()
-    }
-
-    fn set_adaptive(&mut self, config: crate::pool::AdaptiveConfig) {
-        self.checkpoints.set_adaptive(config);
     }
 
     fn snapshot_state(&self) -> Option<crate::snapshot::FrameworkState> {

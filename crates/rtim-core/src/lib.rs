@@ -17,11 +17,11 @@
 //!   Algorithm 2): `O(log N / β)` checkpoints, `ε(1−β)/2`-approximate
 //!   answers (Theorems 3–5).
 //! * [`checkpoint_set`] — the [`CheckpointSet`] layer shared by both
-//!   frameworks: owns the ordered checkpoint list and its execution
-//!   strategy (sequential, or sharded across a persistent worker pool).
-//! * [`pool`] — the [`ShardPool`]: long-lived worker threads, each owning a
-//!   stable shard of checkpoints, fed slides over channels with
-//!   bit-identical-to-sequential results.
+//!   frameworks: owns the ordered checkpoint list and the pool that runs
+//!   it.
+//! * [`pool`] — the [`ShardPool`]: shards of checkpoints, run inline at
+//!   width 1 and by long-lived worker threads above, with bit-identical
+//!   results at every width.
 //! * [`engine`] — the [`SimEngine`] driver: maintains the sliding window and
 //!   the propagation index, feeds resolved actions into a framework, and
 //!   answers SIM queries after every slide (including multi-action slides,
@@ -104,7 +104,7 @@ pub use intern::UserInterner;
 pub use metrics::{
     EngineMetrics, Histogram, SlidingHistogram, HISTOGRAM_BUCKETS, METRICS_WINDOW_SLIDES,
 };
-pub use pool::{AdaptiveConfig, CheckpointStat, PoolStats, ShardPool, WorkerFeedReport};
+pub use pool::{CheckpointStat, PoolStats, ShardPool, WorkerFeedReport};
 pub use sic::SicFramework;
 pub use snapshot::{
     load_snapshot, load_snapshot_with, recover_engine, recover_engine_with, write_snapshot_atomic,

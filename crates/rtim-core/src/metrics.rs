@@ -483,7 +483,7 @@ impl EngineMetrics {
             ),
             (
                 "rtim_shard_migrations_total",
-                "Checkpoints migrated between pool shards",
+                "Checkpoints moved between pool shards by the rebalancer",
                 stats.shard_migrations,
             ),
         ];

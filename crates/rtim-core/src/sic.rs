@@ -15,9 +15,8 @@
 //! next retained checkpoint expires too, exactly as in Algorithm 2 lines
 //! 21–23.
 //!
-//! The checkpoints live in a [`CheckpointSet`], which owns the execution
-//! strategy (sequential, or a persistent shard pool when
-//! [`SimConfig::with_threads`] asks for workers); SIC is pure policy over
+//! The checkpoints live in a [`CheckpointSet`], which runs them on a shard
+//! pool ([`SimConfig::with_threads`] sets its width); SIC is pure policy over
 //! the set's cached per-checkpoint values — pruning decisions read the
 //! cached values, and every deletion lets the pool rebalance its shards.
 
@@ -201,10 +200,6 @@ impl<W: ElementWeight + Send + 'static> Framework for SicFramework<W> {
 
     fn shard_feed_reports(&self) -> &[crate::pool::WorkerFeedReport] {
         self.checkpoints.shard_feed_reports()
-    }
-
-    fn set_adaptive(&mut self, config: crate::pool::AdaptiveConfig) {
-        self.checkpoints.set_adaptive(config);
     }
 
     fn snapshot_state(&self) -> Option<crate::snapshot::FrameworkState> {

@@ -34,7 +34,7 @@
 //! checkpoint itself stays weight-agnostic.
 
 use crate::framework::{ResolvedAction, Solution};
-use rtim_stream::{InfluenceAccumulator, WordArena};
+use rtim_stream::{InfluenceAccumulator, UserId, WordArena};
 use rtim_submodular::{DenseWeights, OracleConfig, OracleCounters, OracleKind, SsoOracle};
 
 /// A checkpoint: an SSO oracle adapted to the action stream through SSM.
@@ -158,11 +158,16 @@ impl Checkpoint {
         self.oracle.value()
     }
 
+    /// The seeds of the checkpoint's current solution.
+    pub fn seeds(&self) -> Vec<UserId> {
+        self.oracle.seeds()
+    }
+
     /// The checkpoint's current solution.
     pub fn solution(&self) -> Solution {
         Solution {
-            seeds: self.oracle.seeds(),
-            value: self.oracle.value(),
+            seeds: self.seeds(),
+            value: self.value(),
         }
     }
 

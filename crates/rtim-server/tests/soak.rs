@@ -17,7 +17,8 @@
 //! * bounded queue — `max_queue_depth` never exceeds the configured
 //!   capacity (backpressure worked);
 //! * bounded memory — hostile peers (slowloris + idle horde) do not grow
-//!   the process footprint meaningfully;
+//!   the process footprint meaningfully (the soaks run one at a time, so
+//!   the process-wide RSS counts only the running soak's server);
 //! * responsiveness — queries keep answering within a latency bound while
 //!   the hostile peers are connected;
 //! * clean drain — every action the server `ACK`ed is processed before
@@ -30,8 +31,18 @@ use rtim_server::{protocol, Frame, IngestReply, RtimClient, RtimServer, ServerCo
 use rtim_stream::Action;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Held for the whole body of each soak, so they never overlap.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn run_alone() -> MutexGuard<'static, ()> {
+    // A failed soak poisons the lock; the next one still runs alone.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn soak_duration() -> Duration {
     let secs = std::env::var("RTIM_SOAK_SECS")
@@ -82,6 +93,7 @@ fn ingest_client(addr: std::net::SocketAddr, seed: u64, stop: Arc<AtomicBool>) -
 #[test]
 #[ignore = "~30s soak; run explicitly or via the CI nightly-style step"]
 fn soak_sustained_ingest_with_queries_and_a_dropping_client() {
+    let _alone = run_alone();
     let capacity = 32usize;
     let config = SimConfig::new(10, 0.4, 2_000, 100).with_threads(2);
     let server = RtimServer::bind(
@@ -206,6 +218,7 @@ fn soak_sustained_ingest_with_queries_and_a_dropping_client() {
 #[test]
 #[ignore = "~30s soak; run explicitly or via the CI nightly-style step"]
 fn soak_slowloris_reconnect_storm_and_idle_horde() {
+    let _alone = run_alone();
     const IDLE_HORDE: usize = 512;
     const SLOWLORIS: usize = 4;
     let capacity = 32usize;

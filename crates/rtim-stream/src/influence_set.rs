@@ -24,7 +24,7 @@
 //! Both sorted layouts are seen through [`SetView::Small`], so the word-level
 //! kernels, the coverage code and the state codec tell only "sorted ids" from
 //! "bitmap".  Sets never shrink, so a sorted vec always holds more than
-//! `INLINE_MAX` ids and the codec's restore ([`InfluenceSet::from_sorted_vec`])
+//! `INLINE_MAX` ids and the codec's restore (`InfluenceSet::from_sorted_vec`)
 //! recovers the exact layout from the id count alone.
 //!
 //! The bitmap is sized by the **largest id stored**, which is why the engine

@@ -29,7 +29,7 @@
 //!   popcount (Muła's `vpshufb` + `vpsadbw` reduction) for long runs,
 //!   both dispatched at runtime via `is_x86_feature_detected!`.  All
 //!   variants are differentially property-tested against the
-//!   [`reference`] scalars in `tests/kernel_props.rs`.
+//!   [`reference`](mod@reference) scalars in `tests/kernel_props.rs`.
 //!
 //! ## Early-exit granularity
 //!
@@ -39,7 +39,7 @@
 //! old implementation's — but callers only use it in the predicates
 //! `gain >= target` and `gain > 0`, and both are invariant under where
 //! the loop stops once the target is reached (the accumulated count is
-//! monotone).  The [`reference`] implementation mirrors the block
+//! monotone).  The [`reference`](mod@reference) implementation mirrors the block
 //! granularity exactly so the differential tests can assert full bit
 //! identity, not just predicate equivalence.
 

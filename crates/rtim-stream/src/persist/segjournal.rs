@@ -12,7 +12,7 @@
 //!
 //! (`journal.rtaj`, the pre-segmentation layout, is read as segment 0, so
 //! old directories migrate transparently.)  Each segment is an ordinary
-//! [`read_journal`] file; the global arrival order is the concatenation of
+//! [`read_journal`](super::journal::read_journal) file; the global arrival order is the concatenation of
 //! the segments' batches in sequence order.  Rotation is keyed to
 //! snapshots — the engine rotates when it dispatches a snapshot, and once
 //! the snapshot is durable every segment whose last action id is ≤ the

@@ -14,7 +14,7 @@
 //!   corruption) and allocation guards — a hostile length field can never
 //!   size an allocation beyond what the input actually holds, plus an
 //!   absolute single-allocation ceiling of 64 ×
-//!   [`MAX_FRAME_BYTES`](super::MAX_FRAME_BYTES) (snapshot-scale arrays
+//!   [`super::MAX_FRAME_BYTES`] (snapshot-scale arrays
 //!   are legitimately larger than one wire frame; the input-size bound is
 //!   the operative guard);
 //! * codecs for this crate's state-bearing types: [`InfluenceSet`] (both

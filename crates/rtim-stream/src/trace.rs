@@ -76,9 +76,9 @@ pub enum TraceStage {
     Degrade = 9,
     /// Durability re-armed after a degrade (`aux` = lost batches, capped).
     Rearm = 10,
-    /// Journal segment rotation under a snapshot, or an adaptive-placement
-    /// checkpoint migration (`aux` distinguishes: 0 = rotation,
-    /// 1 = migration).
+    /// Journal segment rotation under a snapshot, or a checkpoint moved
+    /// between pool shards by the rebalancer (`aux` distinguishes:
+    /// 0 = rotation, 1 = rebalance move).
     Lifecycle = 11,
 }
 

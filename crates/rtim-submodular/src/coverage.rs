@@ -357,7 +357,7 @@ pub mod reference {
     use std::collections::HashSet;
 
     /// Coverage state backed by a `HashSet<UserId>` — the implementation the
-    /// bitmap [`CoverageState`](super::CoverageState) replaced.
+    /// bitmap [`super::CoverageState`] replaced.
     ///
     /// Retained for two purposes:
     ///

@@ -46,7 +46,7 @@
 //! admission adds the exponent; a grid refresh that drops an instance
 //! removes it from its seeds' entries.  Seeds never leave a live instance,
 //! and a refresh that drops nothing leaves the index alone.  (The index is
-//! [`crate::grid`]'s `SeedOf`, shared with ThresholdStream.)
+//! `crate::grid`'s `SeedOf`, shared with ThresholdStream.)
 //!
 //! ### Open-threshold floor
 //!
@@ -54,7 +54,7 @@
 //! `τ = (v/2 − f(S)) / (k − |S|)` over the instances that are not full.
 //! When it exceeds the element's singleton value, every open instance would
 //! skip the element on `τ > f({e})`, so the admission loop is skipped as a
-//! whole.  Exactness: the floor is built from [`Instance::threshold`], the
+//! whole.  Exactness: the floor is built from `Instance::threshold`, the
 //! same float expression as the per-instance test, so the skip is exactly
 //! the conjunction of the per-instance skips.  A live instance's τ changes
 //! only on an absorb or an admission, and the floor is lowered to the new τ
@@ -82,12 +82,12 @@
 //! ## Flat grid and cached thresholds
 //!
 //! The instances live in a flat grid indexed by `exponent − base` (see
-//! [`crate::grid`]: refresh drops `j < lo` and fills `lo..=hi`, so the live
+//! `crate::grid`: refresh drops `j < lo` and fills `lo..=hi`, so the live
 //! exponents are always one contiguous range).  A seed absorb is an index,
 //! and the admission loop walks the instances in ascending exponent order,
 //! the order the `BTreeMap` they replaced iterated in.
 //!
-//! Beside the grid, `thresholds[i]` caches [`Instance::threshold`] of the
+//! Beside the grid, `thresholds[i]` caches `Instance::threshold` of the
 //! instance in slot `i`, and `+∞` once it is full.  The admission loop
 //! scans this dense `f64` array and touches an instance only where
 //! `τ ≤ f({e})`.  Exactness: τ is a function of the guess, `f(S)` and
@@ -101,7 +101,7 @@
 //! of the array, the same fold as over the open instances alone.
 //!
 //! All of this is derived state and is not persisted:
-//! [`SieveStreaming::from_state`] rebuilds the index from the seed lists
+//! `SieveStreaming::from_state` rebuilds the index from the seed lists
 //! and the thresholds from the instances, starts the floor stale and the
 //! rejection caches cold, so the snapshot format is unchanged.
 //! [`OracleCounters`] counts the outcomes.

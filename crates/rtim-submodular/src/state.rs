@@ -3,8 +3,8 @@
 //! A checkpoint's oracle is the deepest state in the engine: guess-grid
 //! instances with their coverage bitmaps, incrementally accumulated float
 //! values, frozen fallback solutions.  [`OracleState`] is the serializable
-//! form of any [`SsoOracle`](crate::SsoOracle) shipped by this crate,
-//! extracted with [`SsoOracle::snapshot_state`](crate::SsoOracle::snapshot_state)
+//! form of any [`crate::SsoOracle`] shipped by this crate,
+//! extracted with [`crate::SsoOracle::snapshot_state`]
 //! and rebuilt with [`OracleState::restore`].
 //!
 //! Two properties matter more than compactness:

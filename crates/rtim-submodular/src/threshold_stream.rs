@@ -15,7 +15,7 @@
 //! are maintained incrementally for weighted objectives.
 //!
 //! The instances share SieveStreaming's flat grid and seed-of index (see
-//! [`crate::grid`]): a re-arriving seed is absorbed into exactly the
+//! `crate::grid`): a re-arriving seed is absorbed into exactly the
 //! instances that hold it, and the admission test visits the others.  Every
 //! instance is independent of the rest, so absorbing before the admission
 //! pass yields the same state as the interleaved visit-every-instance loop
